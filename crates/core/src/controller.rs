@@ -555,7 +555,28 @@ impl WaspController {
             plan_version: env.plan_version,
         });
         lossy.retry.track(env.clone(), now);
-        engine.submit(env);
+        Self::submit_or_note(&self.tel, engine, env, now);
+    }
+
+    /// Hands `env` to the engine's lossy channel. An engine without one
+    /// (oracle mode) cannot carry it: the drop is recorded like a
+    /// network loss, and the retry track abandons the command once its
+    /// attempts run out.
+    fn submit_or_note(
+        tel: &Telemetry,
+        engine: &mut Engine,
+        env: CommandEnvelope<Command>,
+        now: f64,
+    ) {
+        let (id, label) = (env.id, env.label.clone());
+        if let Err(e) = engine.submit(env) {
+            tel.emit(now, || TelEvent::ControlCommandDropped {
+                id,
+                label,
+                stage: "command".into(),
+                cause: e.to_string(),
+            });
+        }
     }
 
     /// Processes the acks that survived the trip back: resolves or
@@ -656,7 +677,7 @@ impl WaspController {
                 label: env.label.clone(),
                 attempt,
             });
-            engine.submit(env);
+            Self::submit_or_note(&self.tel, engine, env, now);
         }
     }
 

@@ -140,8 +140,15 @@ impl CohortQueue {
     /// Removes up to `n` events from the front, FIFO, splitting the
     /// boundary cohort as needed. Returns the removed cohorts.
     pub fn take(&mut self, n: f64) -> Vec<Cohort> {
-        let mut remaining = n.max(0.0);
         let mut out = Vec::new();
+        self.take_into(n, &mut out);
+        out
+    }
+
+    /// [`CohortQueue::take`] appending the removed cohorts to `out`,
+    /// so hot loops can reuse one buffer.
+    pub fn take_into(&mut self, n: f64, out: &mut Vec<Cohort>) {
+        let mut remaining = n.max(0.0);
         while remaining > 1e-12 {
             let Some(front) = self.cohorts.front_mut() else {
                 break;
@@ -163,13 +170,19 @@ impl CohortQueue {
         if self.cohorts.is_empty() {
             self.total = 0.0; // absorb float dust
         }
-        out
     }
 
     /// Removes *all* events.
     pub fn drain(&mut self) -> Vec<Cohort> {
         self.total = 0.0;
         self.cohorts.drain(..).collect()
+    }
+
+    /// Discards every queued event (including float dust), keeping
+    /// the buffer's capacity for reuse.
+    pub fn clear(&mut self) {
+        self.cohorts.clear();
+        self.total = 0.0;
     }
 
     /// Drops every cohort whose delay at `now` already exceeds
@@ -195,16 +208,28 @@ impl CohortQueue {
     /// Scales every cohort's count by `factor` (used when an operator
     /// with selectivity σ emits its processed events).
     pub fn scaled(cohorts: &[Cohort], factor: f64) -> Vec<Cohort> {
+        Self::scaled_iter(cohorts, factor).collect()
+    }
+
+    /// Appends `cohorts` scaled by `factor`: the same as
+    /// `push_all(CohortQueue::scaled(cohorts, factor))` without the
+    /// intermediate vector.
+    pub fn push_scaled(&mut self, cohorts: &[Cohort], factor: f64) {
+        for c in Self::scaled_iter(cohorts, factor) {
+            self.push(c);
+        }
+    }
+
+    fn scaled_iter(cohorts: &[Cohort], factor: f64) -> impl Iterator<Item = Cohort> + '_ {
         cohorts
             .iter()
-            .filter(|c| c.count * factor > 0.0)
-            .map(|c| Cohort {
+            .filter(move |c| c.count * factor > 0.0)
+            .map(move |c| Cohort {
                 birth: c.birth,
                 count: c.count * factor,
                 net_latency: c.net_latency,
                 xray: c.xray,
             })
-            .collect()
     }
 
     /// Merges the oldest half of the queue pairwise, preserving total
@@ -320,6 +345,38 @@ mod tests {
         for w in drained.windows(2) {
             assert!(w[0].birth <= w[1].birth);
         }
+    }
+
+    #[test]
+    fn push_scaled_matches_push_all_of_scaled() {
+        let cs = [
+            Cohort::new(SimTime(0.0), 10.0),
+            Cohort::new(SimTime(0.0), 3.0),
+            Cohort::new(SimTime(1.0), 4.0),
+        ];
+        let mut a = CohortQueue::new();
+        a.push_all(CohortQueue::scaled(&cs, 0.3));
+        let mut b = CohortQueue::new();
+        b.push_scaled(&cs, 0.3);
+        assert_eq!(a.len_events().to_bits(), b.len_events().to_bits());
+        assert_eq!(a.drain(), b.drain());
+    }
+
+    #[test]
+    fn clear_drops_dust_and_take_into_appends() {
+        let mut q = CohortQueue::new();
+        q.push(Cohort::new(SimTime(0.0), 5e-13));
+        assert!(q.is_empty());
+        assert_eq!(q.len_cohorts(), 1);
+        q.clear();
+        assert_eq!(q.len_cohorts(), 0);
+        assert_eq!(q.len_events(), 0.0);
+        q.push(Cohort::new(SimTime(1.0), 4.0));
+        let mut out = vec![Cohort::new(SimTime(0.0), 1.0)];
+        q.take_into(3.0, &mut out);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[1].count, 3.0);
+        assert_eq!(q.len_events(), 1.0);
     }
 
     #[test]

@@ -125,6 +125,10 @@ pub enum EngineError {
         /// The engine's fencing epoch at rejection time.
         engine_epoch: u64,
     },
+    /// [`Engine::submit`] was called in oracle mode: there is no lossy
+    /// channel to carry the command (oracle-mode controllers use
+    /// [`Engine::apply`]).
+    ControlPlaneDisabled,
 }
 
 impl fmt::Display for EngineError {
@@ -145,6 +149,9 @@ impl fmt::Display for EngineError {
                     f,
                     "stale controller epoch {cmd_epoch} (engine at {engine_epoch})"
                 )
+            }
+            EngineError::ControlPlaneDisabled => {
+                write!(f, "submit requires the lossy control plane")
             }
         }
     }
@@ -433,6 +440,22 @@ struct ProcTask {
     compute_factor: f64,
     /// `None` only for blocked placements with no instantiated group.
     group: Option<Group>,
+    /// Empty output buffers from the engine's pool.
+    bufs: EmitBufs,
+}
+
+/// A task's reusable output buffers. They travel task → outcome →
+/// engine pool, so a warmed-up tick allocates no per-task vectors.
+#[derive(Debug, Default)]
+struct EmitBufs {
+    /// Cohorts taken from `pending_out` this tick: sink deliveries, or
+    /// the emission every downstream edge receives (scaled by its
+    /// share). Also holds the dequeued input while it is processed.
+    cohorts: Vec<Cohort>,
+    /// Downstream edge buffers and the share of `cohorts` each
+    /// receives, in (downstream op, placement site) order. Empty for
+    /// sinks.
+    edges: Vec<(EdgeKey, f64)>,
 }
 
 /// The immutable pre-tick view shared (read-only) by every compute
@@ -469,11 +492,14 @@ struct ProcOutcome {
     processed: f64,
     /// Events emitted (drives the per-op emission counter).
     emitted: f64,
-    /// Sink deliveries, in emission order; delay accounting happens in
-    /// the reduce so histogram observation order matches sequential.
-    deliveries: Vec<Cohort>,
-    /// Downstream pushes, in (downstream op, placement site) order.
-    emissions: Vec<(EdgeKey, Vec<Cohort>)>,
+    /// The op is a sink: `bufs.cohorts` are deliveries, in emission
+    /// order (delay accounting happens in the reduce so histogram
+    /// observation order matches sequential). Otherwise they are
+    /// pushed to each of `bufs.edges`, scaled by its share.
+    sink: bool,
+    /// The emitted cohorts and their downstream edges; handed back to
+    /// the engine's pool after the reduce.
+    bufs: EmitBufs,
     /// Flow-view attribution charged at this (op, site) during the
     /// tick: seconds·events per component, indexed by
     /// `Component::ALL`. Folded per-op in the ordered reduce.
@@ -540,6 +566,7 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
         paused_frac,
         compute_factor,
         group,
+        bufs,
     } = task;
     let mut out = ProcOutcome {
         op,
@@ -548,8 +575,8 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
         backpressure: false,
         processed: 0.0,
         emitted: 0.0,
-        deliveries: Vec::new(),
-        emissions: Vec::new(),
+        sink: false,
+        bufs,
         xray_nodes: [0.0; 6],
     };
     if blocked {
@@ -624,9 +651,10 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
             out.backpressure = true;
         }
         if n > 0.0 {
-            let mut cohorts = g.input.take(n);
+            let cohorts = &mut out.bufs.cohorts;
+            g.input.take_into(n, cohorts);
             if ctx.xray {
-                for c in &mut cohorts {
+                for c in cohorts.iter_mut() {
                     let comps =
                         close_queue_interval(c, g.pause_mig_cum, g.pause_fail_cum, ctx.t1, ctx.dt);
                     for (acc, v) in out.xray_nodes.iter_mut().zip(comps) {
@@ -641,11 +669,12 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
             g.since_ckpt.push_all(cohorts.iter().copied());
             if windowed {
                 let w = spec.kind().window_s().expect("windowed op");
-                for c in cohorts {
+                for c in cohorts.drain(..) {
                     g.absorb_into_window(c, w, sigma, ctx.xray, ctx.t1);
                 }
             } else {
-                g.pending_out.push_all(CohortQueue::scaled(&cohorts, sigma));
+                g.pending_out.push_scaled(cohorts, sigma);
+                cohorts.clear();
             }
         }
         // --- event-time window firing ---
@@ -701,14 +730,16 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
         }
         pending_len.min(limit)
     };
+    out.sink = is_sink;
     if emit_n > 0.0 {
-        let mut cohorts = g.pending_out.take(emit_n);
+        let cohorts = &mut out.bufs.cohorts;
+        g.pending_out.take_into(emit_n, cohorts);
         if ctx.xray {
             // Sources charge their generation tick as service; everyone
             // else waited here only because a downstream buffer was
             // full.
             let sdt = if is_source { ctx.dt } else { 0.0 };
-            for c in &mut cohorts {
+            for c in cohorts.iter_mut() {
                 let comps = close_pending_interval(c, ctx.t1, sdt);
                 for (acc, v) in out.xray_nodes.iter_mut().zip(comps) {
                     *acc += v * c.count;
@@ -721,21 +752,17 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
             g.backpressured = true;
             out.backpressure = true;
         }
-        if is_sink {
-            out.deliveries = cohorts;
-        } else {
+        if !is_sink {
             for &d in downstream {
                 let placement = ctx.physical.placement(d);
                 for (sd, _) in placement.iter() {
-                    let share = placement.share(sd);
                     let key = EdgeKey {
                         from_op: op,
                         from_site: site,
                         to_op: d,
                         to_site: sd,
                     };
-                    out.emissions
-                        .push((key, CohortQueue::scaled(&cohorts, share)));
+                    out.bufs.edges.push((key, placement.share(sd)));
                 }
             }
         }
@@ -1126,6 +1153,47 @@ pub struct Engine {
     /// Latency-attribution recorder (`None` = xray off, the default;
     /// every stamp in the hot path is gated on this).
     xray: Option<XrayState>,
+    /// Working memory of `transfer_step`, reused across ticks.
+    transfer_scratch: TransferScratch,
+    /// Recycled per-task output buffers of `process_step`.
+    emit_pool: Vec<EmitBufs>,
+    /// Per-op processed events of the current tick (`process_step`).
+    per_op_processed: Vec<f64>,
+}
+
+/// Working memory of `transfer_step`. Every vector is cleared (never
+/// shrunk) at the start of a tick, so once the first ticks have grown
+/// them the phase allocates nothing. Deliberately not pre-sized at
+/// construction: the growth is a handful of reallocations in the first
+/// ticks rather than set-up work.
+#[derive(Debug, Default)]
+struct TransferScratch {
+    /// Edge buffers with data to move this tick, and their backlog.
+    candidates: Vec<(EdgeKey, f64)>,
+    /// Candidate indices grouped by destination, each group in
+    /// water-fill order (smallest backlog first, ties by index).
+    order: Vec<u32>,
+    /// Events admitted per candidate.
+    grants: Vec<f64>,
+    flows: Vec<FlowDemand>,
+    /// The data edge behind each flow (`None` for state flights).
+    flow_edges: Vec<Option<EdgeKey>>,
+    /// Admitted events per flow (0 for state flights).
+    admissions: Vec<f64>,
+    /// Allocated rate per flow.
+    rates: Vec<Mbps>,
+    /// (checkpoint upload, flow) pairs.
+    ckpt_flows: Vec<(usize, usize)>,
+    /// (compaction flight, flow) pairs.
+    comp_flows: Vec<(usize, usize)>,
+    /// (migration, transfer, flow) triples.
+    mig_flows: Vec<(usize, usize, usize)>,
+    /// (migration, slice, flow) triples.
+    slice_flows: Vec<(usize, usize, usize)>,
+    /// Links already carrying a head slice of the current migration.
+    slice_links: Vec<(SiteId, SiteId)>,
+    /// Cohorts taken off one edge buffer.
+    moved: Vec<Cohort>,
 }
 
 impl Engine {
@@ -1190,6 +1258,9 @@ impl Engine {
             stores: BTreeMap::new(),
             state_timeline: wasp_state::timeline::StateTimeline::new(),
             xray: None,
+            transfer_scratch: TransferScratch::default(),
+            emit_pool: Vec::new(),
+            per_op_processed: Vec::new(),
         };
         engine.build_groups();
         Ok(engine)
@@ -1485,17 +1556,19 @@ impl Engine {
     /// travels controller site → target site over the simulated WAN:
     /// it may be dropped outright (telemetry records the cause), and
     /// otherwise arrives after the control-channel delay, where the
-    /// next [`Engine::step`] delivers it through the epoch fence.
+    /// next [`Engine::step`] delivers it through the epoch fence. A
+    /// dropped command is not an error: the controller learns of it
+    /// only through the missing ack, as over a real network.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless [`Engine::enable_lossy_control`] was called —
+    /// Returns [`EngineError::ControlPlaneDisabled`] (and drops the
+    /// command) unless [`Engine::enable_lossy_control`] was called —
     /// oracle-mode controllers use [`Engine::apply`] directly.
-    pub fn submit(&mut self, env: CommandEnvelope<Command>) {
-        let mut cp = self
-            .control
-            .take()
-            .expect("submit requires the lossy control plane");
+    pub fn submit(&mut self, env: CommandEnvelope<Command>) -> Result<(), EngineError> {
+        let Some(mut cp) = self.control.take() else {
+            return Err(EngineError::ControlPlaneDisabled);
+        };
         let target = self.command_target_site(&cp, &env.payload);
         let verdict = cp.transport.route(
             &self.net,
@@ -1528,6 +1601,7 @@ impl Engine {
             }
         }
         self.control = Some(cp);
+        Ok(())
     }
 
     /// Heartbeats and acks that reached the controller site by `now`.
@@ -2114,7 +2188,7 @@ impl Engine {
         for (site, tasks) in placement.iter() {
             let share = tasks as f64 / p as f64;
             let mut g = Group::fresh(tasks);
-            g.input.push_all(CohortQueue::scaled(&input_cohorts, share));
+            g.input.push_scaled(&input_cohorts, share);
             // Buffered open-window contents are *state*: restore them
             // directly into the window accumulator (re-processing them
             // as input would double-charge the CPU).
@@ -2124,15 +2198,17 @@ impl Engine {
                     g.absorb_into_window(c, w, sigma, xray_on, now);
                 }
             } else {
-                g.input
-                    .push_all(CohortQueue::scaled(&window_cohorts, share));
+                g.input.push_scaled(&window_cohorts, share);
             }
             self.init_state(op, &mut g);
             self.groups.insert((op, site), g);
         }
 
-        // Re-key inbound edge buffers to the new destination sites.
+        // Re-key inbound edge buffers to the new destination sites,
+        // and drop the buffers that hold nothing: those fed from the
+        // stage's vacated sites would otherwise linger forever.
         self.rekey_in_edges(op);
+        self.edges.retain(|_, q| q.len_cohorts() > 0);
 
         let effective_transfers = if skip_state { Vec::new() } else { transfers };
         self.metrics.annotate(SimTime(self.now), "transition-start");
@@ -2283,13 +2359,14 @@ impl Engine {
                 self.edges
                     .entry(key)
                     .or_default()
-                    .push_all(CohortQueue::scaled(&pending, share));
+                    .push_scaled(&pending, share);
             }
         }
     }
 
     /// After a destination stage's placement changed, redistribute its
-    /// inbound edge buffers across the new destination sites.
+    /// inbound edge buffers across the new destination sites. Buffers
+    /// holding nothing are dropped rather than re-keyed.
     fn rekey_in_edges(&mut self, op: OpId) {
         let placement = self.physical.placement(op).clone();
         let keys: Vec<EdgeKey> = self
@@ -2302,6 +2379,9 @@ impl Engine {
         let mut gathered: BTreeMap<(OpId, SiteId), CohortQueue> = BTreeMap::new();
         for key in keys {
             let mut q = self.edges.remove(&key).expect("key just listed");
+            if q.len_cohorts() == 0 {
+                continue;
+            }
             gathered
                 .entry((key.from_op, key.from_site))
                 .or_default()
@@ -2320,7 +2400,7 @@ impl Engine {
                 self.edges
                     .entry(key)
                     .or_default()
-                    .push_all(CohortQueue::scaled(&cohorts, share));
+                    .push_scaled(&cohorts, share);
             }
         }
     }
@@ -2492,7 +2572,7 @@ impl Engine {
             for (site, _) in placement.iter() {
                 let share = placement.share(site);
                 if let Some(g) = self.groups.get_mut(&(new_op, site)) {
-                    g.input.push_all(CohortQueue::scaled(&cohorts, share));
+                    g.input.push_scaled(&cohorts, share);
                 }
             }
         }
@@ -2513,7 +2593,7 @@ impl Engine {
                                 g.absorb_into_window(c, w, sigma, xray_on, now);
                             }
                         }
-                        None => g.input.push_all(CohortQueue::scaled(&cohorts, share)),
+                        None => g.input.push_scaled(&cohorts, share),
                     }
                 }
             }
@@ -2523,7 +2603,7 @@ impl Engine {
             for (site, _) in placement.iter() {
                 let share = placement.share(site);
                 if let Some(g) = self.groups.get_mut(&(new_op, site)) {
-                    g.pending_out.push_all(CohortQueue::scaled(&cohorts, share));
+                    g.pending_out.push_scaled(&cohorts, share);
                 }
             }
         }
@@ -2538,7 +2618,7 @@ impl Engine {
                 let placement = self.physical.placement(src).clone();
                 for (site, _) in placement.iter() {
                     if let Some(g) = self.groups.get_mut(&(src, site)) {
-                        g.pending_out.push_all(CohortQueue::scaled(&replay, share));
+                        g.pending_out.push_scaled(&replay, share);
                     }
                 }
             }
@@ -2676,8 +2756,8 @@ impl Engine {
     }
 
     fn apply_failure_transitions(&mut self, t0: f64) {
-        let failures: Vec<_> = self.script.failures().to_vec();
-        for (i, f) in failures.iter().enumerate() {
+        for i in 0..self.script.failures().len() {
+            let f = self.script.failures()[i];
             if !self.failure_applied[i] && f.is_active(SimTime(t0)) {
                 self.failure_applied[i] = true;
                 self.metrics.annotate(SimTime(t0), "failure");
@@ -2693,7 +2773,7 @@ impl Engine {
                         match self.stores.get(&op) {
                             Some(store) => {
                                 let frac = store.dirty_weight_fraction();
-                                g.redo.push_all(CohortQueue::scaled(&lost, frac));
+                                g.redo.push_scaled(&lost, frac);
                                 if store.compaction().is_enabled()
                                     && !hit.iter().any(|&(o, _)| o == op)
                                 {
@@ -3046,8 +3126,8 @@ impl Engine {
             let dead_destination = m.op.and_then(|op| {
                 self.physical
                     .placement(op)
-                    .sites()
-                    .into_iter()
+                    .iter()
+                    .map(|(s, _)| s)
                     .find(|&s| self.site_failed(s, t0))
             });
             if let Some(site) = dead_endpoint.or(dead_destination) {
@@ -3088,7 +3168,7 @@ impl Engine {
                     if gop == op {
                         let lost = g.since_ckpt.drain();
                         match frac {
-                            Some(f) => g.redo.push_all(CohortQueue::scaled(&lost, f)),
+                            Some(f) => g.redo.push_scaled(&lost, f),
                             None => g.redo.push_all(lost),
                         }
                     }
@@ -3130,12 +3210,12 @@ impl Engine {
 
     fn generate_sources(&mut self, t0: f64, dt: f64) -> f64 {
         let mut total = 0.0;
-        for op in self.plan.sources() {
+        for op in self.plan.op_ids() {
             let (site, base_rate) = match self.plan.op(op).kind() {
                 OperatorKind::Source {
                     site, base_rate, ..
                 } => (*site, *base_rate),
-                _ => unreachable!("sources() returns sources"),
+                _ => continue,
             };
             let factor = self.script.workload_factor(site, SimTime(t0));
             let count = base_rate * factor * dt;
@@ -3163,9 +3243,18 @@ impl Engine {
     }
 
     fn transfer_step(&mut self, t0: f64, dt: f64) {
+        let mut scratch = std::mem::take(&mut self.transfer_scratch);
+        self.transfer_with(&mut scratch, t0, dt);
+        self.transfer_scratch = scratch;
+    }
+
+    /// The WAN transfer phase: admits edge-buffer backlog into the
+    /// destination queues, allocates the WAN max-min fairly among data
+    /// flows, checkpoint uploads, compaction bursts and state
+    /// migrations, and moves what each flow's rate allows.
+    fn transfer_with(&mut self, sc: &mut TransferScratch, t0: f64, dt: f64) {
         // Candidate edge buffers with data to move this tick.
-        let mut candidates: Vec<(EdgeKey, f64)> = Vec::new();
-        let mut per_dest: BTreeMap<(OpId, SiteId), Vec<usize>> = BTreeMap::new();
+        sc.candidates.clear();
         for (key, queue) in &self.edges {
             let queue_len = queue.len_events();
             if queue_len <= 0.0 {
@@ -3178,54 +3267,68 @@ impl Engine {
             {
                 continue;
             }
-            per_dest
-                .entry((key.to_op, key.to_site))
-                .or_default()
-                .push(candidates.len());
-            candidates.push((*key, queue_len));
+            sc.candidates.push((*key, queue_len));
         }
         // Queue admission per destination, split max-min fairly across
         // the senders (first-come order would let a backlogged sender
-        // starve the others indefinitely).
-        let mut grants: Vec<f64> = vec![0.0; candidates.len()];
-        for ((to_op, to_site), members) in &per_dest {
-            let dest = &self.groups[&(*to_op, *to_site)];
-            let cap = self.queue_capacity(*to_op, dest.tasks);
-            let mut admission = (cap - dest.input.len_events()).max(0.0);
+        // starve the others indefinitely). Destinations are
+        // independent, so one sort groups them and orders each group
+        // for the water-fill: smallest demand first, ties in candidate
+        // order.
+        let candidates = &sc.candidates;
+        let dest = |i: u32| {
+            let key = candidates[i as usize].0;
+            (key.to_op, key.to_site)
+        };
+        sc.order.clear();
+        sc.order.extend(0..candidates.len() as u32);
+        sc.order.sort_unstable_by(|&a, &b| {
+            dest(a)
+                .cmp(&dest(b))
+                .then_with(|| {
+                    candidates[a as usize]
+                        .1
+                        .partial_cmp(&candidates[b as usize].1)
+                        .expect("queue lengths are finite")
+                })
+                .then(a.cmp(&b))
+        });
+        sc.grants.clear();
+        sc.grants.resize(candidates.len(), 0.0);
+        for members in sc.order.chunk_by(|&a, &b| dest(a) == dest(b)) {
+            let (to_op, to_site) = dest(members[0]);
+            let group = &self.groups[&(to_op, to_site)];
+            let cap = self.queue_capacity(to_op, group.tasks);
+            let mut admission = (cap - group.input.len_events()).max(0.0);
             // Water-fill: satisfy the smallest demands first.
-            let mut order: Vec<usize> = members.clone();
-            order.sort_by(|&a, &b| {
-                candidates[a]
-                    .1
-                    .partial_cmp(&candidates[b].1)
-                    .expect("queue lengths are finite")
-            });
-            let mut left = order.len();
-            for idx in order {
+            let mut left = members.len();
+            for &idx in members {
+                let idx = idx as usize;
                 let fair = admission / left as f64;
                 let take = candidates[idx].1.min(fair);
-                grants[idx] = take;
+                sc.grants[idx] = take;
                 admission -= take;
                 left -= 1;
             }
         }
         // Build the network flows from the granted amounts.
-        let mut flows: Vec<FlowDemand> = Vec::new();
-        let mut flow_edges: Vec<Option<EdgeKey>> = Vec::new();
-        let mut admissions: Vec<f64> = Vec::new();
-        for ((key, _), &granted) in candidates.iter().zip(&grants) {
+        sc.flows.clear();
+        sc.flow_edges.clear();
+        sc.admissions.clear();
+        for ((key, _), &granted) in candidates.iter().zip(&sc.grants) {
             if granted <= 0.0 {
                 continue;
             }
             let bytes = self.plan.out_bytes(key.from_op);
             let mbps = granted * bytes * 8.0 / 1e6 / dt;
-            flows.push(FlowDemand::new(key.from_site, key.to_site, Mbps(mbps)));
-            flow_edges.push(Some(*key));
-            admissions.push(granted);
+            sc.flows
+                .push(FlowDemand::new(key.from_site, key.to_site, Mbps(mbps)));
+            sc.flow_edges.push(Some(*key));
+            sc.admissions.push(granted);
         }
         // Checkpoint uploads to remote storage compete for the links
         // too (the §5 argument for localized checkpointing).
-        let mut ckpt_flow_index: Vec<(usize, usize)> = Vec::new(); // (upload idx, flow idx)
+        sc.ckpt_flows.clear();
         for (ci, up) in self.checkpoint_uploads.iter().enumerate() {
             if up.remaining_mb <= 1e-9
                 || self.site_failed(up.from, t0)
@@ -3234,15 +3337,15 @@ impl Engine {
                 continue;
             }
             let mbps = up.remaining_mb * 8.0 / dt;
-            ckpt_flow_index.push((ci, flows.len()));
-            flows.push(FlowDemand::new(up.from, up.to, Mbps(mbps)));
-            flow_edges.push(None);
-            admissions.push(0.0);
+            sc.ckpt_flows.push((ci, sc.flows.len()));
+            sc.flows.push(FlowDemand::new(up.from, up.to, Mbps(mbps)));
+            sc.flow_edges.push(None);
+            sc.admissions.push(0.0);
         }
         // Compaction full-snapshot bursts contend for the links too
         // (empty unless delta-chain modeling is on with remote
         // checkpointing).
-        let mut comp_flow_index: Vec<(usize, usize)> = Vec::new(); // (flight idx, flow idx)
+        sc.comp_flows.clear();
         for (ci, up) in self.compaction_uploads.iter().enumerate() {
             if up.remaining_mb <= 1e-9
                 || self.site_failed(up.from, t0)
@@ -3251,13 +3354,13 @@ impl Engine {
                 continue;
             }
             let mbps = up.remaining_mb * 8.0 / dt;
-            comp_flow_index.push((ci, flows.len()));
-            flows.push(FlowDemand::new(up.from, up.to, Mbps(mbps)));
-            flow_edges.push(None);
-            admissions.push(0.0);
+            sc.comp_flows.push((ci, sc.flows.len()));
+            sc.flows.push(FlowDemand::new(up.from, up.to, Mbps(mbps)));
+            sc.flow_edges.push(None);
+            sc.admissions.push(0.0);
         }
         // Migration transfers compete for the same links.
-        let mut mig_flow_index: Vec<(usize, usize, usize)> = Vec::new(); // (mig, transfer, flow idx)
+        sc.mig_flows.clear();
         for (mi, m) in self.migrations.iter().enumerate() {
             for (ti, tr) in m.transfers.iter().enumerate() {
                 if tr.remaining_mb <= 1e-9
@@ -3267,23 +3370,22 @@ impl Engine {
                     continue;
                 }
                 let mbps = tr.remaining_mb * 8.0 / dt;
-                mig_flow_index.push((mi, ti, flows.len()));
-                flows.push(FlowDemand::new(tr.from, tr.to, Mbps(mbps)));
-                flow_edges.push(None);
-                admissions.push(0.0);
+                sc.mig_flows.push((mi, ti, sc.flows.len()));
+                sc.flows.push(FlowDemand::new(tr.from, tr.to, Mbps(mbps)));
+                sc.flow_edges.push(None);
+                sc.admissions.push(0.0);
             }
         }
         // Partition slice flights (partitioned migrations): pipelined
         // per (from, to) link — only the head slice of each link's
         // queue is in flight (and paused) at a time.
-        let mut slice_flow_index: Vec<(usize, usize, usize)> = Vec::new(); // (mig, slice, flow idx)
+        sc.slice_flows.clear();
         for (mi, m) in self.migrations.iter_mut().enumerate() {
             if m.slices.is_empty() {
                 continue;
             }
             let mop = m.op.map(|o| o.0);
-            let mut links: std::collections::BTreeSet<(SiteId, SiteId)> =
-                std::collections::BTreeSet::new();
+            sc.slice_links.clear();
             for (si, s) in m.slices.iter_mut().enumerate() {
                 if s.remaining_mb <= 1e-9
                     || self.script.site_failed(s.from, SimTime(t0))
@@ -3293,9 +3395,10 @@ impl Engine {
                 }
                 // Head-of-line only: later slices of the same link
                 // wait their turn.
-                if !links.insert((s.from, s.to)) {
+                if sc.slice_links.contains(&(s.from, s.to)) {
                     continue;
                 }
+                sc.slice_links.push((s.from, s.to));
                 if s.started_at.is_none() {
                     s.started_at = Some(t0);
                     s.record = Some(self.state_timeline.transfers.len());
@@ -3322,47 +3425,48 @@ impl Engine {
                     });
                 }
                 let mbps = s.remaining_mb * 8.0 / dt;
-                slice_flow_index.push((mi, si, flows.len()));
-                flows.push(FlowDemand::new(s.from, s.to, Mbps(mbps)));
-                flow_edges.push(None);
-                admissions.push(0.0);
+                sc.slice_flows.push((mi, si, sc.flows.len()));
+                sc.flows.push(FlowDemand::new(s.from, s.to, Mbps(mbps)));
+                sc.flow_edges.push(None);
+                sc.admissions.push(0.0);
             }
         }
         self.last_link_usage.clear();
-        if flows.is_empty() {
+        if sc.flows.is_empty() {
             return;
         }
-        let rates = self.net.allocate(&flows, SimTime(t0));
-        for (f, r) in flows.iter().zip(&rates) {
+        self.net
+            .allocate_into(&sc.flows, SimTime(t0), &mut sc.rates);
+        let rates = &sc.rates;
+        for (f, r) in sc.flows.iter().zip(rates) {
             if f.from != f.to && r.0 > 0.0 {
                 *self.last_link_usage.entry((f.from, f.to)).or_insert(0.0) += r.0;
             }
         }
         // Move events along data flows.
-        for (i, maybe_key) in flow_edges.iter().enumerate() {
+        for (i, maybe_key) in sc.flow_edges.iter().enumerate() {
             let Some(key) = maybe_key else { continue };
             let bytes = self.plan.out_bytes(key.from_op);
             let mut events = if bytes > 0.0 {
                 rates[i].0 * 1e6 / 8.0 * dt / bytes
             } else {
-                admissions[i]
+                sc.admissions[i]
             };
             if key.from_site == key.to_site {
-                events = admissions[i]; // local hand-off is free
+                events = sc.admissions[i]; // local hand-off is free
             }
-            events = events.min(admissions[i]);
+            events = events.min(sc.admissions[i]);
             if events <= 0.0 {
                 continue;
             }
             let latency = self.net.latency(key.from_site, key.to_site).secs();
-            let moved = self
-                .edges
+            self.edges
                 .get_mut(key)
                 .expect("edge existed when flows were built")
-                .take(events);
+                .take_into(events, &mut sc.moved);
             if let Some(dest) = self.groups.get_mut(&(key.to_op, key.to_site)) {
                 let (mig_cum, fail_cum) = (dest.pause_mig_cum, dest.pause_fail_cum);
-                for mut c in moved {
+                for mut c in sc.moved.drain(..) {
                     if self.xray.is_some() {
                         // Edge-buffer wait since emission plus the
                         // link's propagation delay are both transit.
@@ -3382,16 +3486,17 @@ impl Engine {
                     dest.input.push(c);
                 }
             }
+            sc.moved.clear();
         }
         // Progress migration transfers.
-        for (mi, ti, fi) in mig_flow_index {
+        for &(mi, ti, fi) in &sc.mig_flows {
             let moved_mb = rates[fi].0 / 8.0 * dt;
             let tr = &mut self.migrations[mi].transfers[ti];
             tr.remaining_mb = (tr.remaining_mb - moved_mb).max(0.0);
         }
         // Progress partition slice flights; a finished head slice
         // frees its link for the next slice at the next tick.
-        for (mi, si, fi) in slice_flow_index {
+        for &(mi, si, fi) in &sc.slice_flows {
             let moved_mb = rates[fi].0 / 8.0 * dt;
             let mop = self.migrations[mi].op.map(|o| o.0);
             let s = &mut self.migrations[mi].slices[si];
@@ -3419,7 +3524,7 @@ impl Engine {
                 }
             }
         }
-        for (ci, fi) in ckpt_flow_index {
+        for &(ci, fi) in &sc.ckpt_flows {
             // (Link usage was already recorded with the other flows.)
             let moved_mb = rates[fi].0 / 8.0 * dt;
             let up = &mut self.checkpoint_uploads[ci];
@@ -3428,8 +3533,8 @@ impl Engine {
         self.checkpoint_uploads.retain(|t| t.remaining_mb > 1e-9);
         // Progress compaction bursts; a record closes when the last
         // flight of its burst lands.
-        if !comp_flow_index.is_empty() {
-            for (ci, fi) in comp_flow_index {
+        if !sc.comp_flows.is_empty() {
+            for &(ci, fi) in &sc.comp_flows {
                 let moved_mb = rates[fi].0 / 8.0 * dt;
                 let up = &mut self.compaction_uploads[ci];
                 up.remaining_mb = (up.remaining_mb - moved_mb).max(0.0);
@@ -3455,8 +3560,16 @@ impl Engine {
             }
             self.compaction_uploads.retain(|f| f.remaining_mb > 1e-9);
         }
-        // Trim empty edge buffers.
-        self.edges.retain(|_, q| !q.is_empty());
+        // Drained edge buffers stay in the map with their capacity, so
+        // the next reduce refills them without allocating; float dust
+        // (≤ 1e-12 events) is dropped as before. Buffers that no
+        // placement feeds any more are pruned where placements change
+        // (`redeploy`, `rekey_in_edges`, `switch_plan`).
+        for q in self.edges.values_mut() {
+            if q.is_empty() {
+                q.clear();
+            }
+        }
     }
 
     /// Per-tick processing + emission over every (stage, site) group.
@@ -3467,9 +3580,11 @@ impl Engine {
     ///
     /// 1. **Shard** (sequential): one task per deployed (op, site)
     ///    group, in the stable sequential order — topological operator
-    ///    order, then the placement's site order. Each task takes
-    ///    ownership of its `Group` and a snapshot of the per-site
-    ///    inputs it needs (failure/suspension status, compute factor).
+    ///    order, then the placement's site order. Each task takes its
+    ///    `Group` out of the map in place (`mem::take`, leaving an
+    ///    empty placeholder), a snapshot of the per-site inputs it
+    ///    needs (failure/suspension status, compute factor) and a set
+    ///    of empty output buffers from the engine's pool.
     /// 2. **Compute** (parallel over `self.jobs` workers, or inline
     ///    when `jobs == 1`): [`run_proc_task`] is a pure function of
     ///    the task plus the *pre-tick* immutable view (`plan`,
@@ -3479,12 +3594,14 @@ impl Engine {
     ///    written by the task that owns `(from_op, from_site)` — so
     ///    reading the pre-tick `edges` map reproduces exactly what the
     ///    sequential interleaving observed.
-    /// 3. **Reduce** (sequential, in task order): groups are
-    ///    re-inserted, sink deliveries are folded into the run metrics
-    ///    and histograms, and emissions are pushed into the edge
-    ///    buffers — the identical mutations, in the identical order,
-    ///    as the historical single-threaded loop. Results are
-    ///    therefore bit-identical for every thread count.
+    /// 3. **Reduce** (sequential, in task order): groups are written
+    ///    back into their map slots, sink deliveries are folded into
+    ///    the run metrics and histograms, and each emission — the
+    ///    emitted cohorts once plus `(edge, share)` pairs — is pushed
+    ///    into the edge buffers scaled by its share: the identical
+    ///    mutations, in the identical order, as the historical
+    ///    single-threaded loop. Results are therefore bit-identical
+    ///    for every thread count.
     fn process_step(&mut self, t0: f64, dt: f64) -> (f64, f64) {
         let t1 = t0 + dt;
         // Expired chain-replay stalls release their ops (empty unless
@@ -3493,7 +3610,6 @@ impl Engine {
             self.recovery_replays.retain(|_, ready| t0 < *ready);
         }
         // --- shard: one task per (op, site), in sequential order ---
-        let topo: Vec<OpId> = self.plan.topo_order().to_vec();
         // Partitioned migrations pause only the partitions in flight:
         // the op keeps processing, at capacity scaled down by the
         // key-weight share currently moving (empty under `Coarse`).
@@ -3513,14 +3629,14 @@ impl Engine {
             }
             *inflight.entry(op).or_insert(0.0) += w;
         }
-        let mut tasks: Vec<ProcTask> = Vec::new();
-        for &op in &topo {
+        let mut tasks: Vec<ProcTask> = Vec::with_capacity(self.groups.len());
+        for &op in self.plan.topo_order() {
             let suspended = self.is_suspended(op);
             // Chain replay stalls the whole op (its state is not yet
             // reconstructed anywhere) — attributed as failure pause.
             let replaying = self.recovery_replays.contains_key(&op);
             let paused = inflight.get(&op).copied().unwrap_or(0.0);
-            for site in self.physical.placement(op).sites() {
+            for (site, _) in self.physical.placement(op).iter() {
                 let compute_factor = if paused > 0.0 {
                     self.script.compute_factor(site, SimTime(t0)) * (1.0 - paused.min(1.0))
                 } else {
@@ -3534,7 +3650,8 @@ impl Engine {
                     blocked_by_failure: failed || replaying,
                     paused_frac: paused,
                     compute_factor,
-                    group: self.groups.remove(&(op, site)),
+                    group: self.groups.get_mut(&(op, site)).map(std::mem::take),
+                    bufs: self.emit_pool.pop().unwrap_or_default(),
                 });
             }
         }
@@ -3552,10 +3669,15 @@ impl Engine {
         // --- ordered reduce: apply outcomes in sequential task order ---
         let mut delivered_total = 0.0;
         let mut delay_sum = 0.0;
-        let mut per_op_processed = vec![0.0; self.plan.len()];
-        for o in outcomes {
+        let mut per_op_processed = std::mem::take(&mut self.per_op_processed);
+        per_op_processed.clear();
+        per_op_processed.resize(self.plan.len(), 0.0);
+        for mut o in outcomes {
             if let Some(g) = o.group {
-                self.groups.insert((o.op, o.site), g);
+                *self
+                    .groups
+                    .get_mut(&(o.op, o.site))
+                    .expect("the group was taken from this slot") = g;
             }
             if let Some(p) = per_op_processed.get_mut(o.op.index()) {
                 *p += o.processed;
@@ -3572,12 +3694,12 @@ impl Engine {
                 }
             }
             let mut node_comps = o.xray_nodes;
-            if !o.deliveries.is_empty() {
+            if o.sink && !o.bufs.cohorts.is_empty() {
                 let sink_hist = self
                     .em
                     .as_ref()
                     .and_then(|em| em.delivery[o.op.index()].as_ref());
-                for c in &o.deliveries {
+                for c in &o.bufs.cohorts {
                     let d = c.delay_at(SimTime(t1));
                     delivered_total += c.count;
                     delay_sum += d * c.count;
@@ -3609,11 +3731,18 @@ impl Engine {
             if let Some(xs) = self.xray.as_mut() {
                 xs.rec.charge_node(t1, o.op.0, node_comps);
             }
-            for (key, cohorts) in o.emissions {
-                self.edges.entry(key).or_default().push_all(cohorts);
+            for &(key, share) in &o.bufs.edges {
+                self.edges
+                    .entry(key)
+                    .or_default()
+                    .push_scaled(&o.bufs.cohorts, share);
             }
+            o.bufs.cohorts.clear();
+            o.bufs.edges.clear();
+            self.emit_pool.push(o.bufs);
         }
         self.state_step(&per_op_processed);
+        self.per_op_processed = per_op_processed;
         (delivered_total, delay_sum)
     }
 
@@ -3625,8 +3754,7 @@ impl Engine {
         if self.stores.is_empty() {
             return;
         }
-        let ops: Vec<OpId> = self.stores.keys().copied().collect();
-        for op in ops {
+        for (&op, store) in self.stores.iter_mut() {
             let total: f64 = self
                 .groups
                 .iter()
@@ -3641,7 +3769,6 @@ impl Engine {
                 StateModel::Window { bytes_per_event } => bytes_per_event,
             };
             let mb = per_op_processed.get(op.index()).copied().unwrap_or(0.0) * write_bytes / 1e6;
-            let store = self.stores.get_mut(&op).expect("key just listed");
             store.set_total_mb(total);
             store.record_writes_sampled(mb);
         }
@@ -3882,6 +4009,49 @@ mod tests {
         let before = eng.metrics().total_delivered();
         eng.run(30.0);
         assert!(eng.metrics().total_delivered() > before + 10_000.0);
+    }
+
+    #[test]
+    fn drained_edge_buffers_persist_until_a_redeploy_prunes_them() {
+        let mut b = TopologyBuilder::new();
+        let edge = b.add_site("edge", SiteKind::Edge, 4);
+        let dc = b.add_site("dc", SiteKind::DataCenter, 8);
+        let dc2 = b.add_site("dc2", SiteKind::DataCenter, 8);
+        b.set_all_links(Mbps(50.0), Millis(20.0));
+        let net = Network::new(b.build().unwrap());
+        let plan = linear_plan(edge, 1000.0, 5.0);
+        let mut eng = engine_for(net, DynamicsScript::none(), plan, dc);
+        eng.run(20.0);
+        let filter = OpId(1);
+        let vacated = EdgeKey {
+            from_op: filter,
+            from_site: dc,
+            to_op: OpId(2),
+            to_site: dc,
+        };
+        assert!(eng.edges.contains_key(&vacated));
+        let move_filter = |eng: &mut Engine, site: SiteId| {
+            eng.apply(Command::Redeploy {
+                op: filter,
+                placement: Placement::single(site, 1),
+                transfers: vec![],
+                skip_state: false,
+            })
+            .unwrap();
+            eng.run(20.0);
+            assert!(!eng.is_suspended(filter));
+        };
+        // Nothing feeds the vacated site's output buffer any more: it
+        // drains and stays in the map, empty.
+        move_filter(&mut eng, dc2);
+        let left = eng.edges.get(&vacated).expect("drained buffers persist");
+        assert_eq!(left.len_cohorts(), 0);
+        assert_eq!(left.len_events(), 0.0);
+        // The next placement change prunes it; live buffers stay.
+        move_filter(&mut eng, edge);
+        assert!(!eng.edges.contains_key(&vacated));
+        assert!(eng.edges.values().any(|q| q.len_cohorts() > 0));
+        assert!(eng.metrics().total_delivered() > 0.0);
     }
 
     #[test]
@@ -4744,10 +4914,26 @@ mod tests {
     }
 
     #[test]
+    fn oracle_mode_submit_returns_an_error() {
+        let (net, edge, dc) = world(10.0);
+        let plan = linear_plan(edge, 1000.0, 5.0);
+        let mut eng = engine_for(net, DynamicsScript::none(), plan, dc);
+        assert_eq!(
+            eng.submit(envelope(1, 1, reassign_to(edge))),
+            Err(EngineError::ControlPlaneDisabled)
+        );
+        // Nothing was queued or applied.
+        eng.run(2.0);
+        assert_eq!(eng.physical().placement(OpId(1)).sites(), vec![dc]);
+        assert_eq!(eng.plan_version(), 0);
+        assert_eq!(eng.control_epoch(), 0);
+    }
+
+    #[test]
     fn lossless_submit_applies_after_delivery_delay() {
         let (mut eng, edge, dc) = lossy_engine(0.0);
         assert_eq!(eng.controller_site(), Some(dc), "sink host is controller");
-        eng.submit(envelope(1, 1, reassign_to(edge)));
+        eng.submit(envelope(1, 1, reassign_to(edge))).unwrap();
         // Not applied synchronously: the command is on the wire.
         assert_eq!(eng.physical().placement(OpId(1)).sites(), vec![dc]);
         eng.run(2.0);
@@ -4765,7 +4951,7 @@ mod tests {
     #[test]
     fn full_loss_never_delivers_commands() {
         let (mut eng, edge, dc) = lossy_engine(1.0);
-        eng.submit(envelope(1, 1, reassign_to(edge)));
+        eng.submit(envelope(1, 1, reassign_to(edge))).unwrap();
         eng.run(60.0);
         assert_eq!(eng.physical().placement(OpId(1)).sites(), vec![dc]);
         assert_eq!(eng.control_epoch(), 0);
@@ -4782,13 +4968,13 @@ mod tests {
     #[test]
     fn stale_epoch_command_is_fenced_not_applied() {
         let (mut eng, edge, dc) = lossy_engine(0.0);
-        eng.submit(envelope(2, 3, reassign_to(edge)));
+        eng.submit(envelope(2, 3, reassign_to(edge))).unwrap();
         eng.run(2.0);
         assert_eq!(eng.control_epoch(), 3);
         eng.run(15.0); // let the transition finish
                        // A delayed pre-failure command from epoch 1 arrives late: it
                        // must not clobber the epoch-3 placement.
-        eng.submit(envelope(3, 1, reassign_to(dc)));
+        eng.submit(envelope(3, 1, reassign_to(dc))).unwrap();
         eng.run(2.0);
         assert_eq!(eng.physical().placement(OpId(1)).sites(), vec![edge]);
         assert_eq!(eng.stale_rejections(), 1);
@@ -4814,13 +5000,13 @@ mod tests {
     #[test]
     fn duplicate_delivery_is_idempotent() {
         let (mut eng, edge, _dc) = lossy_engine(0.0);
-        eng.submit(envelope(7, 1, reassign_to(edge)));
+        eng.submit(envelope(7, 1, reassign_to(edge))).unwrap();
         eng.run(2.0);
         assert_eq!(eng.physical().placement(OpId(1)).sites(), vec![edge]);
         eng.run(15.0);
         // The controller re-sends the same command id (an ack-timeout
         // retry whose original did land). It must not re-apply.
-        eng.submit(envelope(7, 1, reassign_to(edge)));
+        eng.submit(envelope(7, 1, reassign_to(edge))).unwrap();
         eng.run(2.0);
         let (_, acks) = eng.drain_control();
         let dup = acks.iter().find(|a| a.outcome == AckOutcome::Duplicate);
@@ -4842,7 +5028,8 @@ mod tests {
                 transfers: vec![],
                 skip_state: false,
             },
-        ));
+        ))
+        .unwrap();
         eng.run(2.0);
         assert_eq!(eng.plan_version(), 0);
         assert_eq!(eng.control_epoch(), 1, "epoch advances on acceptance");

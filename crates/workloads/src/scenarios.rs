@@ -846,7 +846,7 @@ pub struct CompactionRunResult {
 /// adaptation runs, so every failure hits the same host and recovery
 /// replays the chain as it stood at that moment:
 ///
-/// * under [`CompactionPolicy::unbounded`] the chain grows for the
+/// * under [`CompactionPolicy::unbounded`](wasp_state::CompactionPolicy::unbounded) the chain grows for the
 ///   whole run, so each successive failure replays strictly more;
 /// * under a bounded policy (e.g. every
 ///   [`COMPACTION_EVERY_N_ROUNDS`] rounds) the chain is periodically

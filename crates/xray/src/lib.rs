@@ -93,8 +93,8 @@ impl Component {
 ///
 /// Components are stored as named fields (not `[f64; 6]`) because the
 /// ledger is embedded in serialized engine state and the sanctioned
-/// `serde` build has no fixed-size-array impls; [`components`]
-/// (DelayLedger::components) provides the indexed view.
+/// `serde` build has no fixed-size-array impls;
+/// [`components`](DelayLedger::components) provides the indexed view.
 ///
 /// `mark_pause` / `mark_fail` snapshot the owning group's cumulative
 /// pause counters at enqueue time, so the dequeue stamp can split the
