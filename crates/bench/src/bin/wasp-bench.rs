@@ -403,7 +403,7 @@ fn run_skewed_split(c: &ScenarioConfig) -> ExperimentResult {
         label: r.label,
         query: "topk (skewed split)".to_string(),
         metrics: r.metrics,
-        e2e_selectivity: 1.0,
+        e2e_selectivity: r.e2e_selectivity,
         xray: r.xray,
         replay_p95_s: None,
         compaction_mb: None,
@@ -425,7 +425,7 @@ fn run_compaction(c: &ScenarioConfig) -> ExperimentResult {
         label: r.label,
         query: "topk (delta chain)".to_string(),
         metrics: r.metrics,
-        e2e_selectivity: 1.0,
+        e2e_selectivity: r.e2e_selectivity,
         xray: r.xray,
         replay_p95_s: Some(r.replay_p95_s),
         compaction_mb: Some(r.compaction_mb),

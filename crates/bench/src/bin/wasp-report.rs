@@ -697,7 +697,7 @@ fn main() {
                 label: res.label,
                 query: "topk (skewed state)".to_string(),
                 metrics: res.metrics,
-                e2e_selectivity: 1.0,
+                e2e_selectivity: res.e2e_selectivity,
                 xray: res.xray,
                 replay_p95_s: None,
                 compaction_mb: None,
@@ -719,7 +719,7 @@ fn main() {
                 label: res.label,
                 query: "topk (delta chain)".to_string(),
                 metrics: res.metrics,
-                e2e_selectivity: 1.0,
+                e2e_selectivity: res.e2e_selectivity,
                 xray: res.xray,
                 replay_p95_s: Some(res.replay_p95_s),
                 compaction_mb: Some(res.compaction_mb),

@@ -216,6 +216,32 @@ impl DynamicsScript {
         per * global
     }
 
+    /// The earliest time after `t` at which some workload,
+    /// global-workload, bandwidth or compute factor changes value, or
+    /// `INFINITY` when none changes again. Per-link bandwidth series
+    /// are not included.
+    ///
+    /// The time is returned a hair early (by about 1e-12 relative): a
+    /// tick at the boundary whose float division rounds into the new
+    /// sample must not be skipped, while a tick evaluated too early
+    /// merely sees the old factors once more.
+    pub fn next_factor_change_after(&self, t: SimTime) -> f64 {
+        let at = self
+            .workload
+            .iter()
+            .chain(&self.compute)
+            .map(|(_, f)| f)
+            .chain(&self.global_workload)
+            .chain(&self.bandwidth)
+            .map(|f| f.next_change_after(t))
+            .fold(f64::INFINITY, f64::min);
+        if at.is_finite() {
+            at - at.abs() * 1e-12 - 1e-12
+        } else {
+            at
+        }
+    }
+
     /// All-link bandwidth factor series, if any.
     pub fn bandwidth_series(&self) -> Option<&FactorSeries> {
         self.bandwidth.as_ref()

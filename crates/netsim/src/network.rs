@@ -87,8 +87,9 @@ pub struct Network {
     /// interior-mutable gauge cache).
     hub: MetricsHub,
     /// Lazily created per-directed-pair (allocated Mbps, utilization
-    /// ratio) gauges.
-    link_gauges: RefCell<BTreeMap<(SiteId, SiteId), (Gauge, Gauge)>>,
+    /// ratio) gauges, dense by `from · m + to` (empty while no hub is
+    /// attached).
+    link_gauges: RefCell<Vec<Option<(Gauge, Gauge)>>>,
     /// Working memory of [`Network::allocate_into`], reused across
     /// calls so a steady-state allocation touches no heap.
     scratch: RefCell<AllocScratch>,
@@ -121,6 +122,11 @@ struct AllocScratch {
     cursor: Vec<u32>,
     frozen: Vec<bool>,
     active: Vec<u32>,
+    /// Granted Mbps per directed pair `from · m + to` (metrics only;
+    /// zero outside a call).
+    pair_mbps: Vec<f64>,
+    /// Pairs with a nonzero entry in `pair_mbps`.
+    touched: Vec<u32>,
 }
 
 impl Network {
@@ -136,7 +142,7 @@ impl Network {
             cross_traffic: Vec::new(),
             transient_cross: vec![0.0; m * m],
             hub: MetricsHub::disabled(),
-            link_gauges: RefCell::new(BTreeMap::new()),
+            link_gauges: RefCell::new(Vec::new()),
             scratch: RefCell::new(AllocScratch::default()),
         }
     }
@@ -145,8 +151,13 @@ impl Network {
     /// records per-directed-link allocated Mbps and utilization ratio
     /// gauges into it. Costs one branch per allocation when disabled.
     pub fn set_metrics(&mut self, hub: MetricsHub) {
+        let m = self.topology.num_sites();
+        let gauges = self.link_gauges.get_mut();
+        gauges.clear();
+        if hub.is_enabled() {
+            gauges.resize(m * m, None);
+        }
         self.hub = hub;
-        self.link_gauges.borrow_mut().clear();
     }
 
     /// Replaces the *transient* cross traffic (Mbps per directed
@@ -485,17 +496,33 @@ impl Network {
     }
     /// Records the just-computed allocation into per-directed-link
     /// gauges: total Mbps granted on the pair and the fraction of the
-    /// pair's currently available bandwidth it consumes.
+    /// pair's currently available bandwidth it consumes. Kept out of
+    /// line: with no hub attached it never runs, and inlined it would
+    /// bloat the allocator's hot loop.
+    #[inline(never)]
     fn record_allocation(&self, flows: &[FlowDemand], rates: &[Mbps], t: SimTime) {
-        let mut per_pair: BTreeMap<(SiteId, SiteId), f64> = BTreeMap::new();
+        let m = self.topology.num_sites();
+        let mut guard = self.scratch.borrow_mut();
+        let s = &mut *guard;
+        s.pair_mbps.resize(m * m, 0.0);
         for (f, &Mbps(r)) in flows.iter().zip(rates) {
             if f.from != f.to && r > 0.0 {
-                *per_pair.entry((f.from, f.to)).or_insert(0.0) += r;
+                let key = f.from.index() * m + f.to.index();
+                if s.pair_mbps[key] == 0.0 {
+                    s.touched.push(key as u32);
+                }
+                s.pair_mbps[key] += r;
             }
         }
+        // Pair order, so first-seen gauges register as they always
+        // have: ascending (from, to).
+        s.touched.sort_unstable();
         let mut gauges = self.link_gauges.borrow_mut();
-        for ((from, to), mbps) in per_pair {
-            let (alloc, util) = gauges.entry((from, to)).or_insert_with(|| {
+        for &key in &s.touched {
+            let key = key as usize;
+            let mbps = std::mem::take(&mut s.pair_mbps[key]);
+            let (from, to) = (SiteId((key / m) as u16), SiteId((key % m) as u16));
+            let (alloc, util) = gauges[key].get_or_insert_with(|| {
                 let from_name = self.topology.site(from).name().to_string();
                 let to_name = self.topology.site(to).name().to_string();
                 let labels = [("from", from_name.as_str()), ("to", to_name.as_str())];
@@ -520,6 +547,7 @@ impl Network {
                 0.0
             });
         }
+        s.touched.clear();
     }
 }
 

@@ -110,6 +110,22 @@ impl FactorSeries {
         self.samples[idx.min(self.samples.len() - 1)]
     }
 
+    /// The first sample boundary after `t` at which the factor changes
+    /// value, or `INFINITY` when it holds its value from `t` on.
+    /// Boundaries where the next sample repeats the current one do
+    /// not count.
+    pub(crate) fn next_change_after(&self, t: SimTime) -> f64 {
+        if self.samples.len() == 1 {
+            return f64::INFINITY;
+        }
+        let idx = ((t.secs().max(0.0) / self.interval_s) as usize).min(self.samples.len() - 1);
+        let current = self.samples[idx];
+        self.samples[idx + 1..]
+            .iter()
+            .position(|&s| s != current)
+            .map_or(f64::INFINITY, |k| (idx + 1 + k) as f64 * self.interval_s)
+    }
+
     /// The raw samples.
     pub fn samples(&self) -> &[f64] {
         &self.samples

@@ -6,8 +6,6 @@
 //! counts per directed site pair — so reports can rank which WAN links
 //! actually carry the transit component of end-to-end delay.
 
-use std::collections::BTreeMap;
-
 use crate::site::SiteId;
 
 /// One directed link's accumulated transit.
@@ -47,7 +45,10 @@ impl LinkTransit {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TransitLedger {
-    links: BTreeMap<(SiteId, SiteId), LinkTransit>,
+    /// Dense by `from · side + to`; `None` for links never charged.
+    links: Vec<Option<LinkTransit>>,
+    /// Side of the square: one more than the largest site id seen.
+    side: usize,
 }
 
 impl TransitLedger {
@@ -63,15 +64,33 @@ impl TransitLedger {
         if events <= 0.0 {
             return;
         }
-        let acc = self.links.entry((from, to)).or_default();
+        let acc = self.acc(from, to);
         acc.seconds += seconds;
         acc.events += events;
     }
 
+    /// The accumulator of the directed link `from → to`, registering
+    /// the link (at zero) if it is new. Lets a caller resolve the slot
+    /// once and add many charges into it; like
+    /// [`TransitLedger::record`], it should be resolved only for a
+    /// positive event count.
+    pub fn acc(&mut self, from: SiteId, to: SiteId) -> &mut LinkTransit {
+        let need = from.index().max(to.index()) + 1;
+        if need > self.side {
+            let old = std::mem::take(&mut self.links);
+            self.links = vec![None; need * need];
+            for (k, acc) in old.into_iter().enumerate() {
+                self.links[(k / self.side) * need + k % self.side] = acc;
+            }
+            self.side = need;
+        }
+        self.links[from.index() * self.side + to.index()].get_or_insert_with(LinkTransit::default)
+    }
+
     /// Folds another ledger into this one.
     pub fn merge(&mut self, other: &TransitLedger) {
-        for (&key, acc) in &other.links {
-            let mine = self.links.entry(key).or_default();
+        for (from, to, acc) in other.rows() {
+            let mine = self.acc(from, to);
             mine.seconds += acc.seconds;
             mine.events += acc.events;
         }
@@ -79,7 +98,12 @@ impl TransitLedger {
 
     /// All rows, ascending by (from, to).
     pub fn rows(&self) -> Vec<(SiteId, SiteId, LinkTransit)> {
-        self.links.iter().map(|(&(f, t), &a)| (f, t, a)).collect()
+        let site = |i: usize| SiteId(u16::try_from(i).expect("slots come from u16 site ids"));
+        self.links
+            .iter()
+            .enumerate()
+            .filter_map(|(k, acc)| acc.map(|a| (site(k / self.side), site(k % self.side), a)))
+            .collect()
     }
 
     /// The `n` links carrying the most transit seconds, descending
@@ -97,7 +121,7 @@ impl TransitLedger {
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
+        self.links.iter().all(Option::is_none)
     }
 }
 

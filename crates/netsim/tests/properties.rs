@@ -2,6 +2,9 @@
 //! invariants, trace algebra, and statistics helpers.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use wasp_netsim::dynamics::DynamicsScript;
 use wasp_netsim::network::{FlowDemand, Network};
 use wasp_netsim::site::{SiteId, SiteKind};
 use wasp_netsim::stats::{quantile, summarize, Zipf};
@@ -133,5 +136,106 @@ proptest! {
         prop_assert!(a <= b + 1e-9);
         let s = summarize(&xs).unwrap();
         prop_assert!(a >= s.min - 1e-9 && b <= s.max + 1e-9);
+    }
+}
+
+/// Case count of the breakpoint-schedule property: 128 by default;
+/// `PROPTEST_CASES` overrides it (the vendored proptest only honours
+/// the in-config count, so the env var is resolved here).
+fn schedule_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(128)
+}
+
+/// A factor series of one of the shapes dynamics scripts use: a
+/// constant, sampled runs with repeated values on a 0.1 / 1 / 30 /
+/// 60 s grid, or scripted steps on such a grid. The 1.1 s grid adds
+/// boundaries where a tick's float division already lands in the next
+/// sample while the boundary's own product (e.g. 7 × 1.1 =
+/// 7.700000000000001) is still above the tick (t = 7.7).
+fn random_series(rng: &mut StdRng) -> FactorSeries {
+    const INTERVALS: [f64; 5] = [0.1, 1.0, 1.1, 30.0, 60.0];
+    const VALUES: [f64; 5] = [0.5, 1.0, 1.0, 1.004, 2.0];
+    let interval = INTERVALS[rng.gen_range(0..INTERVALS.len())];
+    let value = |rng: &mut StdRng| VALUES[rng.gen_range(0..VALUES.len())];
+    match rng.gen_range(0..3u32) {
+        0 => FactorSeries::constant(rng.gen_range(0.1..3.0)),
+        1 => {
+            let mut samples = Vec::new();
+            for _ in 0..rng.gen_range(1..10usize) {
+                let v = value(rng);
+                samples.extend(std::iter::repeat_n(v, rng.gen_range(1..8usize)));
+            }
+            FactorSeries::from_samples(interval, samples)
+        }
+        _ => {
+            let mut at = 0.0;
+            let changes: Vec<(f64, f64)> = (0..rng.gen_range(0..5usize))
+                .map(|_| {
+                    at += rng.gen_range(0.05..90.0);
+                    (at, value(rng))
+                })
+                .collect();
+            FactorSeries::steps(interval, &changes)
+        }
+    }
+}
+
+/// Every factor an engine watches for transitions at time `t`.
+fn watched_factors(script: &DynamicsScript, sites: u16, t: SimTime) -> Vec<f64> {
+    let mut f = vec![script.bandwidth_factor(t)];
+    for s in 0..sites {
+        f.push(script.workload_factor(SiteId(s), t));
+        f.push(script.compute_factor(SiteId(s), t));
+    }
+    f
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(schedule_cases()))]
+
+    /// An engine that re-reads the dynamics only at the breakpoints
+    /// `next_factor_change_after` schedules never misses a tick at
+    /// which some factor differs from the previous tick's.
+    #[test]
+    fn breakpoint_schedule_never_skips_a_factor_change(
+        seed in 0u64..u64::MAX,
+        dt_idx in 0usize..3,
+    ) {
+        const SITES: u16 = 4;
+        let dt = [0.1, 0.25, 1.0][dt_idx];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut script = DynamicsScript::none();
+        for s in 0..rng.gen_range(0..=SITES) {
+            script = script.with_workload(SiteId(s), random_series(&mut rng));
+        }
+        if rng.gen_bool(0.5) {
+            script = script.with_global_workload(random_series(&mut rng));
+        }
+        if rng.gen_bool(0.5) {
+            script = script.with_bandwidth(random_series(&mut rng));
+        }
+        if rng.gen_bool(0.5) {
+            script = script.with_straggler(SiteId(1), random_series(&mut rng));
+        }
+        let mut next_check = f64::NEG_INFINITY;
+        let mut prev = watched_factors(&script, SITES, SimTime::ZERO);
+        let ticks = (400.0 / dt) as u64;
+        for tick in 0..ticks {
+            let t = tick as f64 * dt;
+            let now = watched_factors(&script, SITES, SimTime(t));
+            if now != prev {
+                prop_assert!(
+                    t >= next_check,
+                    "factors change at t = {t} but the next check is at {next_check}"
+                );
+            }
+            if t >= next_check {
+                next_check = script.next_factor_change_after(SimTime(t));
+            }
+            prev = now;
+        }
     }
 }

@@ -1129,9 +1129,10 @@ pub struct Engine {
     prev_failed: Vec<SiteId>,
     /// Telemetry handle (disabled by default; zero cost when off).
     tel: Telemetry,
-    /// Last observed dynamics factors, for transition-edge detection
-    /// (only maintained while telemetry is enabled).
-    dyn_prev: BTreeMap<String, f64>,
+    /// Last observed dynamics factors and the next tick time at which
+    /// one can change, for transition-edge detection (only maintained
+    /// while telemetry is enabled).
+    dyn_watch: DynamicsWatch,
     /// Metrics hub (disabled by default; zero cost when off).
     hub: MetricsHub,
     /// Pre-resolved hot-path instrument handles (`None` while the hub
@@ -1159,6 +1160,68 @@ pub struct Engine {
     emit_pool: Vec<EmitBufs>,
     /// Per-op processed events of the current tick (`process_step`).
     per_op_processed: Vec<f64>,
+    /// Per-op queued events of the current tick (metrics only).
+    queue_scratch: Vec<f64>,
+}
+
+/// Transition-edge detection state of the scripted dynamics.
+///
+/// Every factor series is piecewise constant, so the factors are
+/// re-read only from the first tick at or after the script's next
+/// value change (`next_check`); every other tick costs one compare.
+#[derive(Debug)]
+struct DynamicsWatch {
+    /// Earliest tick start at which a factor may differ from `prev`.
+    next_check: f64,
+    /// Factors as of the last evaluated tick, dense by slot: the
+    /// all-link bandwidth, then the workload of each site's sources,
+    /// then each site's compute speed (see [`DynamicsWatch::workload`]
+    /// and [`DynamicsWatch::compute`]). Unseen slots hold 1.0.
+    prev: Vec<f64>,
+    /// Compute slots that have been reported once: they are watched
+    /// from the first non-nominal factor on.
+    compute_seen: Vec<bool>,
+}
+
+impl DynamicsWatch {
+    const BANDWIDTH: usize = 0;
+
+    fn new(sites: usize) -> DynamicsWatch {
+        DynamicsWatch {
+            next_check: f64::NEG_INFINITY,
+            prev: vec![1.0; 1 + 2 * sites],
+            compute_seen: vec![false; sites],
+        }
+    }
+
+    fn workload(site: SiteId) -> usize {
+        1 + site.index()
+    }
+
+    fn compute(&self, site: SiteId) -> usize {
+        1 + self.compute_seen.len() + site.index()
+    }
+
+    /// Compares `factor` against the slot's last value and emits a
+    /// transition on a move of more than 1%; the event's `what` string
+    /// is built only when it is emitted.
+    fn observe(
+        &mut self,
+        tel: &Telemetry,
+        t0: f64,
+        slot: usize,
+        factor: f64,
+        what: impl FnOnce() -> String,
+    ) {
+        let prev = self.prev[slot];
+        if (factor - prev).abs() > 0.01 * prev.max(0.01) {
+            tel.emit(t0, || TelEvent::DynamicsTransition {
+                what: what(),
+                factor,
+            });
+        }
+        self.prev[slot] = factor;
+    }
 }
 
 /// Working memory of `transfer_step`. Every vector is cleared (never
@@ -1223,6 +1286,7 @@ impl Engine {
         }
         let drop_slo = cfg.drop_slo;
         let failure_applied = vec![false; script.failures().len()];
+        let dyn_watch = DynamicsWatch::new(net.topology().num_sites());
         let mut engine = Engine {
             net,
             script,
@@ -1250,7 +1314,7 @@ impl Engine {
             pending_events: Vec::new(),
             prev_failed: Vec::new(),
             tel: Telemetry::disabled(),
-            dyn_prev: BTreeMap::new(),
+            dyn_watch,
             hub: MetricsHub::disabled(),
             em: None,
             plan_version: 0,
@@ -1261,6 +1325,7 @@ impl Engine {
             transfer_scratch: TransferScratch::default(),
             emit_pool: Vec::new(),
             per_op_processed: Vec::new(),
+            queue_scratch: Vec::new(),
         };
         engine.build_groups();
         Ok(engine)
@@ -1342,6 +1407,8 @@ impl Engine {
     /// failures and dynamics shifts are emitted into it from now on.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.tel = tel;
+        // The first enabled tick re-reads every factor.
+        self.dyn_watch.next_check = f64::NEG_INFINITY;
     }
 
     /// The engine's telemetry handle (cheap clone; controllers share
@@ -1910,13 +1977,15 @@ impl Engine {
         em.delivered.add(delivered);
         em.dropped.add(dropped);
         em.migrations_in_flight.set(self.migrations.len() as f64);
-        let mut queues = vec![0.0; em.queue.len()];
+        let queues = &mut self.queue_scratch;
+        queues.clear();
+        queues.resize(em.queue.len(), 0.0);
         for (&(op, _site), g) in &self.groups {
             if let Some(q) = queues.get_mut(op.index()) {
                 *q += g.input.len_events() + g.redo.len_events();
             }
         }
-        for (gauge, q) in em.queue.iter().zip(queues) {
+        for (gauge, &q) in em.queue.iter().zip(queues.iter()) {
             gauge.set(q);
         }
     }
@@ -2556,6 +2625,8 @@ impl Engine {
         self.plan = sw.plan;
         self.physical = sw.physical;
         self.build_groups();
+        // The new plan's sources are compared at the next tick.
+        self.dyn_watch.next_check = f64::NEG_INFINITY;
         if let Some(xs) = self.xray.as_mut() {
             // New plan, possibly new operator ids/names: refresh the
             // recorder's name table (old ids stay for old windows).
@@ -2718,40 +2789,37 @@ impl Engine {
     /// Emits a [`TelEvent::DynamicsTransition`] whenever a scripted
     /// factor (global bandwidth, per-source workload, per-site
     /// compute) moves by more than 1% between ticks. Only runs while
-    /// telemetry is enabled, so the disabled path costs one branch.
+    /// telemetry is enabled, and only re-reads the factors on ticks
+    /// the script's breakpoint schedule says one may have changed, so
+    /// every other tick costs one compare.
     fn detect_dynamics_transitions(&mut self, t0: f64) {
-        if !self.tel.is_enabled() {
+        if !self.tel.is_enabled() || t0 < self.dyn_watch.next_check {
             return;
         }
         let t = SimTime(t0);
-        let mut current: Vec<(String, f64)> = Vec::new();
+        self.dyn_watch.next_check = self.script.next_factor_change_after(t);
+        let (tel, watch, topo) = (&self.tel, &mut self.dyn_watch, self.net.topology());
         if let Some(series) = self.script.bandwidth_series() {
-            current.push(("bandwidth".to_string(), series.factor_at(t)));
+            let factor = series.factor_at(t);
+            watch.observe(tel, t0, DynamicsWatch::BANDWIDTH, factor, || {
+                "bandwidth".to_string()
+            });
         }
         for op in self.plan.sources() {
             if let OperatorKind::Source { site, .. } = self.plan.op(op).kind() {
-                let name = self.net.topology().site(*site).name();
-                current.push((
-                    format!("workload@{name}"),
-                    self.script.workload_factor(*site, t),
-                ));
-            }
-        }
-        for site in self.net.topology().site_ids() {
-            let factor = self.script.compute_factor(site, t);
-            if factor != 1.0 || self.dyn_prev.contains_key(&format!("compute@{site}")) {
-                current.push((format!("compute@{site}"), factor));
-            }
-        }
-        for (what, factor) in current {
-            let prev = self.dyn_prev.get(&what).copied().unwrap_or(1.0);
-            if (factor - prev).abs() > 0.01 * prev.max(0.01) {
-                self.tel.emit(t0, || TelEvent::DynamicsTransition {
-                    what: what.clone(),
-                    factor,
+                let factor = self.script.workload_factor(*site, t);
+                watch.observe(tel, t0, DynamicsWatch::workload(*site), factor, || {
+                    format!("workload@{}", topo.site(*site).name())
                 });
             }
-            self.dyn_prev.insert(what, factor);
+        }
+        for site in topo.site_ids() {
+            let factor = self.script.compute_factor(site, t);
+            if factor != 1.0 || watch.compute_seen[site.index()] {
+                watch.compute_seen[site.index()] = true;
+                let slot = watch.compute(site);
+                watch.observe(tel, t0, slot, factor, || format!("compute@{site}"));
+            }
         }
     }
 
@@ -3466,8 +3534,22 @@ impl Engine {
                 .take_into(events, &mut sc.moved);
             if let Some(dest) = self.groups.get_mut(&(key.to_op, key.to_site)) {
                 let (mig_cum, fail_cum) = (dest.pause_mig_cum, dest.pause_fail_cum);
+                // The flow's x-ray slots, resolved once: the DAG edge
+                // registers when a cohort moves, the WAN link only
+                // when an event does (as `TransitLedger::record`).
+                let mut slots = self.xray.as_mut().filter(|_| !sc.moved.is_empty()).map(
+                    |XrayState { rec, links, .. }| {
+                        let edge = rec.edge_acc(t0, key.from_op.0, key.to_op.0);
+                        let link = sc
+                            .moved
+                            .iter()
+                            .any(|c| c.count > 0.0)
+                            .then(|| links.acc(key.from_site, key.to_site));
+                        (edge, link)
+                    },
+                );
                 for mut c in sc.moved.drain(..) {
-                    if self.xray.is_some() {
+                    if let Some((edge, link)) = slots.as_mut() {
                         // Edge-buffer wait since emission plus the
                         // link's propagation delay are both transit.
                         let waited = (t0 - c.xray.attributed_until).max(0.0);
@@ -3475,10 +3557,13 @@ impl Engine {
                         c.xray.charge(Component::Transit, latency);
                         c.xray.mark_pause = mig_cum;
                         c.xray.mark_fail = fail_cum;
-                        if let Some(xs) = self.xray.as_mut() {
-                            let secs = (waited + latency) * c.count;
-                            xs.rec.charge_edge(t0, key.from_op.0, key.to_op.0, secs);
-                            xs.links.record(key.from_site, key.to_site, secs, c.count);
+                        let secs = (waited + latency) * c.count;
+                        **edge += secs;
+                        if c.count > 0.0 {
+                            if let Some(link) = link {
+                                link.seconds += secs;
+                                link.events += c.count;
+                            }
                         }
                     }
                     c.net_latency += latency;
@@ -5064,5 +5149,57 @@ mod tests {
         assert!(!edge_hbs.is_empty(), "heartbeats before the failure");
         // The controller-site heartbeat stream continues throughout.
         assert!(hbs.iter().filter(|h| h.site == dc).count() >= 10);
+    }
+
+    #[test]
+    fn dynamics_transitions_are_emitted_at_their_ticks() {
+        // A straggler compute series on the DC, a global-workload step
+        // and a bandwidth step, with telemetry attached only at tick
+        // 37 (t = 9.25): the first observed tick compares against the
+        // 1.0 defaults, sub-1 % moves are absorbed, and a later move
+        // is measured against the absorbed value.
+        let (net, edge, dc) = world(10.0);
+        let plan = linear_plan(edge, 1000.0, 5.0);
+        let script = DynamicsScript::none()
+            .with_straggler(
+                dc,
+                FactorSeries::from_samples(4.0, vec![1.0, 0.5, 0.5, 0.25, 1.0, 1.0]),
+            )
+            .with_global_workload(FactorSeries::steps(1.0, &[(5.0, 2.0), (25.0, 1.0)]))
+            .with_bandwidth(FactorSeries::steps(
+                0.5,
+                &[(14.0, 0.3), (20.0, 0.302), (22.0, 0.31)],
+            ));
+        let physical = PhysicalPlan::initial(&plan, dc);
+        let cfg = EngineConfig {
+            dt: 0.25,
+            ..EngineConfig::default()
+        };
+        let mut eng = Engine::new(net, script, plan, physical, cfg).unwrap();
+        for _ in 0..37 {
+            eng.step();
+        }
+        let (tel, handle) = Telemetry::recording();
+        eng.set_telemetry(tel);
+        eng.run(40.0);
+        let got: Vec<(f64, String, f64)> = handle
+            .recording()
+            .events()
+            .filter_map(|(t, _, e)| match e {
+                TelEvent::DynamicsTransition { what, factor } => Some((t, what.clone(), *factor)),
+                _ => None,
+            })
+            .collect();
+        let want = [
+            (9.25, "workload@edge", 2.0),
+            (9.25, "compute@site-1", 0.5),
+            (12.0, "compute@site-1", 0.25),
+            (14.0, "bandwidth", 0.3),
+            (16.0, "compute@site-1", 1.0),
+            (22.0, "bandwidth", 0.31),
+            (25.0, "workload@edge", 1.0),
+        ]
+        .map(|(t, what, f)| (t, what.to_string(), f));
+        assert_eq!(got, want);
     }
 }

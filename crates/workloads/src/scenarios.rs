@@ -711,6 +711,9 @@ pub struct SkewedStateResult {
     pub timeline: wasp_state::timeline::StateTimeline,
     /// Overhead breakdown of the adaptation, when one happened.
     pub breakdown: Option<OverheadBreakdown>,
+    /// The plan's end-to-end selectivity (delivered per generated
+    /// event when nothing is lost).
+    pub e2e_selectivity: f64,
     /// 95th-percentile per-key downtime of the migration, seconds.
     /// Under `Partitioned` this is the p95 over per-partition pauses
     /// (each key pauses only while its own slice flies); under
@@ -739,6 +742,7 @@ pub fn run_skewed_state_experiment(
     let sink = tb.data_centers()[0];
     let mut plan = QueryKind::TopK.build_default(tb.edges(), sink);
     plan = override_state(plan, state_mb);
+    let e2e_selectivity = plan.end_to_end_selectivity();
     let net0 = tb.static_network();
     let physical = initial_deployment(&plan, &net0, 0.8)
         .unwrap_or_else(|_| PhysicalPlan::initial(&plan, sink));
@@ -788,6 +792,7 @@ pub fn run_skewed_state_experiment(
         metrics,
         timeline,
         breakdown,
+        e2e_selectivity,
         downtime_p95_s,
         xray,
     }
@@ -828,6 +833,9 @@ pub struct CompactionRunResult {
     pub metrics: RunMetrics,
     /// Checkpoint/compaction/replay timeline.
     pub timeline: wasp_state::timeline::StateTimeline,
+    /// The plan's end-to-end selectivity (delivered per generated
+    /// event when nothing is lost).
+    pub e2e_selectivity: f64,
     /// 95th-percentile modeled recovery replay over the scripted
     /// failures, seconds (0 when no failure hit the stage).
     pub replay_p95_s: f64,
@@ -865,6 +873,7 @@ pub fn run_compaction_experiment(
     let sink = tb.data_centers()[0];
     let mut plan = QueryKind::TopK.build_default(tb.edges(), sink);
     plan = override_state(plan, state_mb);
+    let e2e_selectivity = plan.end_to_end_selectivity();
     let net = tb.static_network();
     let physical =
         initial_deployment(&plan, &net, 0.8).unwrap_or_else(|_| PhysicalPlan::initial(&plan, sink));
@@ -924,6 +933,7 @@ pub fn run_compaction_experiment(
         label,
         metrics,
         timeline,
+        e2e_selectivity,
         replay_p95_s,
         compaction_mb,
         xray,
@@ -969,6 +979,31 @@ mod tests {
             assert!(e2e > 0.0, "{}", kind.name());
             assert!(engine.physical().total_tasks() >= 10);
         }
+    }
+
+    /// Delivered events over generated × the plan's own end-to-end
+    /// selectivity: the bench rows' `delivered_ratio`.
+    fn delivered_ratio(metrics: &RunMetrics, e2e_selectivity: f64) -> f64 {
+        metrics.total_delivered() / (metrics.total_generated() * e2e_selectivity)
+    }
+
+    #[test]
+    fn state_rows_deliver_about_what_their_plans_select() {
+        let cfg = ScenarioConfig {
+            seed: 4,
+            dt: 0.25,
+            ..ScenarioConfig::default()
+        };
+        let split = run_skewed_split_experiment(60.0, &cfg);
+        let ratio = delivered_ratio(&split.metrics, split.e2e_selectivity);
+        assert!(ratio > 0.9 && ratio <= 1.01, "skewed split: {ratio}");
+        let compaction = run_compaction_experiment(
+            wasp_state::CompactionPolicy::every_n_rounds(COMPACTION_EVERY_N_ROUNDS),
+            48.0,
+            &cfg,
+        );
+        let ratio = delivered_ratio(&compaction.metrics, compaction.e2e_selectivity);
+        assert!(ratio > 0.9 && ratio <= 1.01, "compaction: {ratio}");
     }
 
     #[test]

@@ -27,26 +27,68 @@ use crate::Component;
 /// them into an [`XrayRun`].
 ///
 /// All entry points take the current sim time and bucket into
-/// reporting windows of `window_s`; every underlying container is a
-/// `BTreeMap`, so iteration (and therefore the snapshot) is
-/// deterministic regardless of observation interleaving — the engine
-/// additionally guarantees observations arrive in its sequential
-/// reduce order, making the snapshot byte-identical at any `--jobs`.
+/// reporting windows of `window_s`. Within a window, sinks and nodes
+/// are dense by operator id and edges dense by (from, to) operator id,
+/// and the most recently touched window is cached, so an observation
+/// costs index arithmetic rather than map lookups. The snapshot walks
+/// windows by index, operators by id and edges in row-major order, so
+/// it is deterministic regardless of observation interleaving — the
+/// engine additionally guarantees observations arrive in its
+/// sequential reduce order, making the snapshot byte-identical at any
+/// `--jobs`.
+///
+/// Operator ids index the dense tables, so they must be small dense
+/// ids (a plan's `OpId`s are).
 #[derive(Debug, Clone)]
 pub struct XrayRecorder {
     window_s: f64,
     ops: BTreeMap<u32, String>,
     sites: BTreeMap<u32, String>,
-    windows: BTreeMap<i64, WindowAcc>,
+    /// Windows that saw an observation, ascending by window index.
+    windows: Vec<(i64, WindowAcc)>,
+    /// Position in `windows` of the most recently touched window.
+    current: usize,
     links: BTreeMap<(u32, u32), LinkAcc>,
     adaptation: Vec<(f64, f64)>,
 }
 
 #[derive(Debug, Clone, Default)]
 struct WindowAcc {
-    sinks: BTreeMap<u32, SinkAcc>,
-    nodes: BTreeMap<u32, [f64; 6]>,
-    edges: BTreeMap<(u32, u32), f64>,
+    /// Delivery view per sink operator id.
+    sinks: Vec<Option<SinkAcc>>,
+    /// Flow view per operator id.
+    nodes: Vec<Option<[f64; 6]>>,
+    /// Flow-view transit per (from, to) operator id, row-major over a
+    /// square of side `edge_side`.
+    edges: Vec<Option<f64>>,
+    edge_side: usize,
+}
+
+impl WindowAcc {
+    /// The `(from, to)` edge slot, growing the square when an id lies
+    /// outside it.
+    fn edge(&mut self, from: usize, to: usize) -> &mut Option<f64> {
+        let need = from.max(to) + 1;
+        if need > self.edge_side {
+            let old = std::mem::take(&mut self.edges);
+            self.edges = vec![None; need * need];
+            for (k, v) in old.into_iter().enumerate() {
+                self.edges[(k / self.edge_side) * need + k % self.edge_side] = v;
+            }
+            self.edge_side = need;
+        }
+        &mut self.edges[from * self.edge_side + to]
+    }
+}
+
+/// The slot for `id` in a dense per-operator table, growing it as
+/// needed.
+fn op_slot<T>(table: &mut Vec<Option<T>>, id: u32) -> &mut Option<T> {
+    let i = id as usize;
+    if i >= table.len() {
+        table.resize_with(i + 1, || None);
+    }
+    &mut table[i]
 }
 
 #[derive(Debug, Clone)]
@@ -86,7 +128,8 @@ impl XrayRecorder {
             window_s,
             ops: BTreeMap::new(),
             sites: BTreeMap::new(),
-            windows: BTreeMap::new(),
+            windows: Vec::new(),
+            current: 0,
             links: BTreeMap::new(),
             adaptation: Vec::new(),
         }
@@ -106,6 +149,22 @@ impl XrayRecorder {
         (now_s / self.window_s).floor() as i64
     }
 
+    /// The accumulator of the window holding `now_s`, created on first
+    /// use. Consecutive observations in one window cost one compare.
+    fn window(&mut self, now_s: f64) -> &mut WindowAcc {
+        let w = self.window_of(now_s);
+        if self.windows.get(self.current).map(|(i, _)| *i) != Some(w) {
+            self.current = match self.windows.binary_search_by_key(&w, |(i, _)| *i) {
+                Ok(pos) => pos,
+                Err(pos) => {
+                    self.windows.insert(pos, (w, WindowAcc::default()));
+                    pos
+                }
+            };
+        }
+        &mut self.windows[self.current].1
+    }
+
     /// Folds a delivered cohort's closed ledger into the sink's
     /// per-window breakdown. `total` is the exact delay the engine
     /// reports to the end-to-end histogram; `comps` the six closed
@@ -121,14 +180,7 @@ impl XrayRecorder {
         if weight <= 0.0 {
             return;
         }
-        let w = self.window_of(now_s);
-        let acc = self
-            .windows
-            .entry(w)
-            .or_default()
-            .sinks
-            .entry(sink)
-            .or_insert_with(SinkAcc::new);
+        let acc = op_slot(&mut self.window(now_s).sinks, sink).get_or_insert_with(SinkAcc::new);
         acc.count += weight;
         acc.total.observe(total.max(0.0), weight);
         for (i, c) in comps.iter().enumerate() {
@@ -142,14 +194,7 @@ impl XrayRecorder {
         if comps.iter().all(|c| *c == 0.0) {
             return;
         }
-        let w = self.window_of(now_s);
-        let node = self
-            .windows
-            .entry(w)
-            .or_default()
-            .nodes
-            .entry(op)
-            .or_insert([0.0; 6]);
+        let node = op_slot(&mut self.window(now_s).nodes, op).get_or_insert([0.0; 6]);
         for (acc, c) in node.iter_mut().zip(comps.iter()) {
             *acc += c;
         }
@@ -159,14 +204,17 @@ impl XrayRecorder {
     /// edge. Zero charges still register the edge so critical-path
     /// extraction sees the full adjacency.
     pub fn charge_edge(&mut self, now_s: f64, from_op: u32, to_op: u32, seconds: f64) {
-        let w = self.window_of(now_s);
-        *self
-            .windows
-            .entry(w)
-            .or_default()
-            .edges
-            .entry((from_op, to_op))
-            .or_insert(0.0) += seconds;
+        *self.edge_acc(now_s, from_op, to_op) += seconds;
+    }
+
+    /// The transit accumulator of the `from_op → to_op` edge in the
+    /// window holding `now_s`, registering the edge (at zero) if it is
+    /// new. Lets a caller resolve the slot once and add many charges
+    /// into it: `*slot += s` is exactly [`XrayRecorder::charge_edge`].
+    pub fn edge_acc(&mut self, now_s: f64, from_op: u32, to_op: u32) -> &mut f64 {
+        self.window(now_s)
+            .edge(from_op as usize, to_op as usize)
+            .get_or_insert(0.0)
     }
 
     /// Charges transit flow time to a physical WAN link (whole-run,
@@ -187,17 +235,16 @@ impl XrayRecorder {
     /// index (empty when the window saw no deliveries). Used by the
     /// engine to emit breakdown telemetry at window rollover.
     pub fn sink_breakdown(&self, window_idx: i64) -> Vec<(u32, f64, [f64; 6])> {
-        let Some(acc) = self.windows.get(&window_idx) else {
+        let Ok(pos) = self.windows.binary_search_by_key(&window_idx, |(i, _)| *i) else {
             return Vec::new();
         };
-        acc.sinks
-            .iter()
+        sinks_of(&self.windows[pos].1)
             .map(|(op, s)| {
                 let mut comps = [0.0; 6];
                 for (i, h) in s.comps.iter().enumerate() {
                     comps[i] = h.sum();
                 }
-                (*op, s.count, comps)
+                (op, s.count, comps)
             })
             .collect()
     }
@@ -213,30 +260,24 @@ impl XrayRecorder {
                 .iter()
                 .map(|(w, acc)| XrayWindow {
                     start_s: *w as f64 * self.window_s,
-                    sinks: acc
-                        .sinks
-                        .iter()
+                    sinks: sinks_of(acc)
                         .map(|(op, s)| XraySink {
-                            op: *op,
+                            op,
                             count: s.count,
                             total: s.total.clone(),
                             comps: s.comps.clone(),
                         })
                         .collect(),
-                    nodes: acc
-                        .nodes
-                        .iter()
+                    nodes: present(&acc.nodes)
                         .map(|(op, comps)| XrayNode {
-                            op: *op,
+                            op: op as u32,
                             comps: comps.to_vec(),
                         })
                         .collect(),
-                    edges: acc
-                        .edges
-                        .iter()
-                        .map(|((f, t), s)| XrayEdge {
-                            from: *f,
-                            to: *t,
+                    edges: present(&acc.edges)
+                        .map(|(k, s)| XrayEdge {
+                            from: (k / acc.edge_side) as u32,
+                            to: (k % acc.edge_side) as u32,
                             seconds: *s,
                         })
                         .collect(),
@@ -255,6 +296,19 @@ impl XrayRecorder {
             adaptation: self.adaptation.clone(),
         }
     }
+}
+
+/// The occupied slots of a dense table with their indices, ascending.
+fn present<T>(table: &[Option<T>]) -> impl Iterator<Item = (usize, &T)> {
+    table
+        .iter()
+        .enumerate()
+        .filter_map(|(i, v)| v.as_ref().map(|v| (i, v)))
+}
+
+/// A window's sinks, ascending by operator id.
+fn sinks_of(acc: &WindowAcc) -> impl Iterator<Item = (u32, &SinkAcc)> {
+    present(&acc.sinks).map(|(op, s)| (op as u32, s))
 }
 
 /// Serializable attribution snapshot for one engine run (or a merge of
