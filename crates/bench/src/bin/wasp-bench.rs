@@ -16,10 +16,8 @@
 //! so the simulation results are bit-identical at any `--jobs` value;
 //! only wall-clock readings move. Per-repeat delay histograms are
 //! merged back into one cross-repeat histogram per scenario via
-//! `LogHistogram::merge` (the `merged_delay_*` report fields). The
-//! report also carries a `thread_sweep` section: the gated scenario
-//! re-run with *engine-level* parallelism 1/2/8, proving the parallel
-//! tick runtime reproduces the sequential recording byte-for-byte.
+//! `LogHistogram::merge` (the `merged_delay_*` report fields). Each
+//! engine tick itself always runs on one thread.
 //!
 //! Wall-clock numbers are machine-dependent, so the report also
 //! carries a *calibration score* (a fixed pure-CPU loop measured at
@@ -91,18 +89,6 @@ struct ScenarioBench {
     compaction_mb: f64,
 }
 
-/// One engine-parallelism point of the determinism/throughput sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ThreadSweepEntry {
-    /// Engine worker threads (`Engine::set_parallelism`).
-    engine_jobs: usize,
-    /// Calibration-normalized throughput at this parallelism.
-    ticks_per_mop: f64,
-    /// Whether the run's `RunMetrics` serialized byte-identically to
-    /// the `engine_jobs = 1` reference run.
-    bit_identical: bool,
-}
-
 /// Time-to-recover for one injected failure.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct FailureRecovery {
@@ -115,7 +101,8 @@ struct FailureRecovery {
 /// The full benchmark report.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct BenchReport {
-    /// Report schema version.
+    /// Report schema version (4 since the engine thread sweep was
+    /// dropped; older baselines still parse).
     version: u32,
     /// True for `--quick` (dt = 1.0) runs.
     quick: bool,
@@ -130,10 +117,6 @@ struct BenchReport {
     jobs: usize,
     /// Per-scenario results.
     scenarios: Vec<ScenarioBench>,
-    /// Engine-parallelism determinism/throughput sweep (gated scenario
-    /// at `engine_jobs` ∈ {1, 2, 8}).
-    #[serde(default)]
-    thread_sweep: Vec<ThreadSweepEntry>,
 }
 
 fn usage() -> ! {
@@ -505,8 +488,7 @@ fn main() {
             _ => usage(),
         }
     }
-    // `--jobs 0` = one worker per available core; no flag = WASP_JOBS /
-    // RAYON_NUM_THREADS, else sequential.
+    // `--jobs 0` = one worker per available core; no flag = sequential.
     let jobs = wasp_parallel::resolve_jobs(jobs_arg);
     // Quick mode trades tick resolution for CI speed; the qualitative
     // behavior (adaptations, recoveries) survives the coarser dt, and
@@ -633,57 +615,14 @@ fn main() {
     );
     scenarios.push(sched);
 
-    // Engine-parallelism sweep over the gated scenario: same seed and
-    // dt, engine worker pool at 1/2/8 threads. Beyond the throughput
-    // points, this asserts the determinism contract end-to-end: every
-    // parallel run must serialize byte-identically to the sequential
-    // reference (the differential test suite proves the same property
-    // hermetically; this repeats it on the release binary).
-    let mut thread_sweep = Vec::new();
-    let mut reference: Option<String> = None;
-    for engine_jobs in [1usize, 2, 8] {
-        let c = ScenarioConfig {
-            seed,
-            dt,
-            jobs: engine_jobs,
-            metrics: MetricsHub::recording(10.0),
-            xray: Some(XRAY_DEFAULT_WINDOW_S),
-            ..Default::default()
-        };
-        let mops = calibrate();
-        let t0 = Instant::now();
-        let r = run_84_topk(&c);
-        let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
-        // The digest covers the attribution snapshot too: byte-identity
-        // across engine_jobs now proves the x-ray ledgers, not just the
-        // delay metrics, are schedule-independent.
-        let digest = serde_json::to_string(&(&r.metrics, &r.xray)).expect("serialize metrics");
-        let bit_identical = reference.get_or_insert_with(|| digest.clone()) == &digest;
-        let ticks_per_mop = (r.metrics.ticks().len() as f64 / wall_s) / mops.max(1e-9);
-        eprintln!(
-            "thread_sweep engine_jobs={engine_jobs}: {ticks_per_mop:.3} ticks/Mop, \
-             bit_identical={bit_identical}"
-        );
-        thread_sweep.push(ThreadSweepEntry {
-            engine_jobs,
-            ticks_per_mop,
-            bit_identical,
-        });
-    }
-    if thread_sweep.iter().any(|e| !e.bit_identical) {
-        eprintln!("DETERMINISM VIOLATION: parallel engine run diverged from sequential");
-        std::process::exit(1);
-    }
-
     let report = BenchReport {
-        version: 3,
+        version: 4,
         quick,
         seed: cfg.seed,
         dt: cfg.dt,
         calibration_mops,
         jobs,
         scenarios,
-        thread_sweep,
     };
 
     let json = serde_json::to_string_pretty(&report).expect("serialize report");

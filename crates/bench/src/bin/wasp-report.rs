@@ -10,9 +10,7 @@
 //! stdout, or to `--report FILE`. `--trace-out` writes a Chrome
 //! `about://tracing` JSON and `--jsonl` the raw event log. Because
 //! every timestamp is sim-time, the same (scenario, seed, dt) always
-//! produces byte-identical outputs — including under `--jobs N`,
-//! which only changes how many worker threads the engine's compute
-//! phase uses, never what it computes.
+//! produces byte-identical outputs.
 
 use wasp_telemetry::Event;
 use wasp_workloads::prelude::*;
@@ -22,7 +20,7 @@ fn usage() -> ! {
         "usage: wasp-report --scenario <section_8_4|section_8_5|section_8_6|skewed_state|compaction> \
          [--seed N] [--query <advertising|topk|events>] \
          [--controller <wasp|reassign|scale|replan>] \
-         [--dt SECS] [--jobs N] [--control <oracle|lossy>] [--loss F] [--heartbeat SECS] \
+         [--dt SECS] [--control <oracle|lossy>] [--loss F] [--heartbeat SECS] \
          [--phi F] [--delay-factor F] [--state <coarse|partitioned>] [--partitions N] \
          [--zipf F] [--split-threshold F] [--state-mb F] [--compact-every N] \
          [--echo] [--trace-out FILE] [--jsonl FILE] [--report FILE] \
@@ -560,16 +558,6 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
-            }
-            // Engine worker threads; every value produces the same
-            // bytes (`0` = one per core). The golden-file test diffs
-            // `--jobs 1` against `--jobs 8` output to prove it.
-            "--jobs" => {
-                cfg.jobs = wasp_parallel::resolve_jobs(Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                ))
             }
             "--query" => {
                 query = match it.next().as_deref() {

@@ -112,10 +112,6 @@ fn run_lossy_campaign(seed: u64, loss: f64, cfg: ChaosConfig) -> LossyCampaign {
     let plan = linear_plan(edge, 1000.0, 400.0, 0.5);
     let physical = PhysicalPlan::initial(&plan, dcs[0]);
     let mut engine = Engine::new(net, script, plan, physical, EngineConfig::default()).unwrap();
-    // Two compute workers: the lossy control plane must be exactly as
-    // jobs-independent as the rest of the engine (results are
-    // bit-identical for every value; see the differential suite).
-    engine.set_parallelism(2);
     let (tel, handle) = Telemetry::recording();
     engine.set_telemetry(tel.clone());
     let lcfg = lossy_cfg(loss, seed, edge);

@@ -97,8 +97,8 @@ fn single_sample_is_every_quantile() {
     }
 }
 
-/// Property tests for the merge algebra the parallel runtime leans
-/// on: the bench driver folds per-repeat delay shards in submission
+/// Property tests for the merge algebra `wasp-bench --jobs` leans
+/// on: the bench harness folds per-repeat delay shards in submission
 /// order, so merging must behave like multiset union — commutative,
 /// associative, and indistinguishable from having observed the single
 /// concatenated stream.

@@ -1,8 +1,9 @@
 //! # wasp-parallel — deterministic fork/join primitives
 //!
-//! The WASP reproduction parallelises two layers — per-operator work
-//! inside one `Engine::step` and whole scenario runs inside
-//! `wasp-bench` — and in both the contract is the same: **results must
+//! The simulator runs each engine tick on one thread; the only
+//! host-thread parallelism in the workspace is *whole-run fan-out* of
+//! independent runs (the `wasp-bench --jobs N` grid of
+//! scenario × repeat cells). The contract there is that **results must
 //! be bit-identical to the sequential path regardless of thread
 //! count**. The building block behind that contract is an *ordered
 //! parallel map*: tasks are computed on worker threads in whatever
@@ -15,48 +16,25 @@
 //! the fork because every worker is joined before [`map_ordered`]
 //! returns.
 //!
-//! Thread counts are resolved with rayon-compatible semantics so CI
-//! matrices can drive the whole stack via `RAYON_NUM_THREADS` (or the
-//! project-specific `WASP_JOBS`) without plumbing flags everywhere —
-//! see [`resolve_jobs`].
+//! Thread counts are explicit: the caller passes them in (see
+//! [`resolve_jobs`]); nothing is read from the environment.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 use std::sync::Mutex;
 
-/// Environment variable consulted first when resolving a job count.
-pub const JOBS_ENV: &str = "WASP_JOBS";
-/// Fallback environment variable, honoured for rayon compatibility.
-pub const RAYON_ENV: &str = "RAYON_NUM_THREADS";
-
-/// Resolves the worker count for a parallel region.
-///
-/// Precedence: an explicit non-zero request wins; `Some(0)` means
-/// "auto" (all available cores); otherwise `WASP_JOBS`, then
-/// `RAYON_NUM_THREADS` (where `0` again means auto); otherwise `1`
-/// (sequential). The result is always at least 1, so the value can be
-/// passed straight to [`map_ordered`].
+/// Resolves the worker count for a parallel region from an explicit
+/// request: `Some(n)` with `n > 0` is taken as is, `Some(0)` means
+/// "auto" (all available cores), and `None` means sequential (`1`).
+/// The result is always at least 1, so the value can be passed
+/// straight to [`map_ordered`].
 pub fn resolve_jobs(explicit: Option<usize>) -> usize {
     match explicit {
         Some(0) => available_jobs(),
         Some(n) => n,
-        None => env_jobs().unwrap_or(1),
+        None => 1,
     }
-}
-
-/// Reads the job count from the environment (`WASP_JOBS` first, then
-/// `RAYON_NUM_THREADS`); `0` means "all available cores". Returns
-/// `None` when neither variable is set to a parseable value.
-pub fn env_jobs() -> Option<usize> {
-    for var in [JOBS_ENV, RAYON_ENV] {
-        if let Ok(s) = std::env::var(var) {
-            if let Ok(n) = s.trim().parse::<usize>() {
-                return Some(if n == 0 { available_jobs() } else { n });
-            }
-        }
-    }
-    None
 }
 
 /// Number of hardware threads available to the process (at least 1).
@@ -152,7 +130,7 @@ mod tests {
     fn resolve_jobs_precedence() {
         assert_eq!(resolve_jobs(Some(5)), 5);
         assert!(resolve_jobs(Some(0)) >= 1);
-        assert!(resolve_jobs(None) >= 1);
+        assert_eq!(resolve_jobs(None), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! untouched, the key-range leaves stay a partition of `[0, 1)`, and
 //! the whole process is a pure function of `(config, stream)` — the
 //! same store always splits the same way, which is the property the
-//! engine/optimizer agreement and the jobs-1/2/8 differential pins
+//! engine/optimizer agreement and the split-scenario differential pins
 //! rest on.
 //!
 //! Case count: 128 by default, raised in CI via `PROPTEST_CASES`

@@ -8,10 +8,11 @@
 //! scheduled control partitions. The controller never reads truth
 //! state; it only sees what survives the WAN.
 //!
-//! All stepping happens in sequential engine code (`Engine::step`
-//! calls [`Engine::control_step`] before anything else), so jobs-N
-//! runs stay bit-identical and oracle mode — where this state is
-//! simply absent — is byte-identical to the pre-control-plane engine.
+//! All stepping happens in the engine tick (`Engine::step` calls
+//! [`Engine::control_step`] before anything else), so lossy runs are
+//! as deterministic as oracle runs, and oracle mode — where this state
+//! is simply absent — is byte-identical to the pre-control-plane
+//! engine.
 //!
 //! [`Engine::control_step`]: crate::engine::Engine
 

@@ -424,6 +424,7 @@ struct EdgeKey {
 /// One unit of per-tick work: a (stage, site) group plus the per-site
 /// inputs sampled while sharding. Owns its `Group` for the duration of
 /// the compute phase, so tasks share no mutable state.
+#[derive(Debug)]
 struct ProcTask {
     op: OpId,
     site: SiteId,
@@ -459,8 +460,7 @@ struct EmitBufs {
 }
 
 /// The immutable pre-tick view shared (read-only) by every compute
-/// task. Everything here is plain data, so the borrow is `Sync` and
-/// worker threads can consume it concurrently.
+/// task.
 struct ProcCtx<'a> {
     plan: &'a LogicalPlan,
     physical: &'a PhysicalPlan,
@@ -477,24 +477,24 @@ struct ProcCtx<'a> {
 }
 
 /// Everything a task wants to say back to the engine. The reduce phase
-/// applies outcomes in task order, reproducing the sequential loop's
-/// mutations exactly.
+/// applies outcomes in task order.
+#[derive(Debug)]
 struct ProcOutcome {
     op: OpId,
     site: SiteId,
     /// The group, handed back for re-insertion.
     group: Option<Group>,
     /// The group newly entered backpressure this tick (at most one
-    /// counter increment per task, mirroring the `!g.backpressured`
-    /// guards of the sequential path).
+    /// counter increment per task, following the `!g.backpressured`
+    /// guards).
     backpressure: bool,
     /// Events processed (drives the per-op throughput counter).
     processed: f64,
     /// Events emitted (drives the per-op emission counter).
     emitted: f64,
     /// The op is a sink: `bufs.cohorts` are deliveries, in emission
-    /// order (delay accounting happens in the reduce so histogram
-    /// observation order matches sequential). Otherwise they are
+    /// order (delay accounting happens in the reduce so histograms
+    /// observe in task order). Otherwise they are
     /// pushed to each of `bufs.edges`, scaled by its share.
     sink: bool,
     /// The emitted cohorts and their downstream edges; handed back to
@@ -1092,10 +1092,6 @@ pub struct Engine {
     /// integer count (`now = tick × dt`) so long runs cannot
     /// accumulate floating-point drift across platforms.
     tick: u64,
-    /// Worker threads for the sharded compute phase of each tick
-    /// (1 = run inline). Results are bit-identical for every value —
-    /// see `process_step`.
-    jobs: usize,
     groups: BTreeMap<(OpId, SiteId), Group>,
     edges: BTreeMap<EdgeKey, CohortQueue>,
     migrations: Vec<Migration>,
@@ -1158,6 +1154,15 @@ pub struct Engine {
     transfer_scratch: TransferScratch,
     /// Recycled per-task output buffers of `process_step`.
     emit_pool: Vec<EmitBufs>,
+    /// Task and outcome vectors of `process_step`: empty between
+    /// ticks, capacity kept.
+    proc_tasks: Vec<ProcTask>,
+    proc_outcomes: Vec<ProcOutcome>,
+    /// Per-op key-weight share paused by in-flight partition slices
+    /// (`process_step`), and the links already counted for the
+    /// migration being summed.
+    inflight_scratch: Vec<f64>,
+    inflight_links: Vec<(SiteId, SiteId)>,
     /// Per-op processed events of the current tick (`process_step`).
     per_op_processed: Vec<f64>,
     /// Per-op queued events of the current tick (metrics only).
@@ -1295,7 +1300,6 @@ impl Engine {
             cfg,
             now: 0.0,
             tick: 0,
-            jobs: 1,
             groups: BTreeMap::new(),
             edges: BTreeMap::new(),
             migrations: Vec::new(),
@@ -1324,6 +1328,10 @@ impl Engine {
             xray: None,
             transfer_scratch: TransferScratch::default(),
             emit_pool: Vec::new(),
+            proc_tasks: Vec::new(),
+            proc_outcomes: Vec::new(),
+            inflight_scratch: Vec::new(),
+            inflight_links: Vec::new(),
             per_op_processed: Vec::new(),
             queue_scratch: Vec::new(),
         };
@@ -1339,20 +1347,6 @@ impl Engine {
     /// Completed simulation ticks (`now() == tick() × dt`).
     pub fn tick(&self) -> u64 {
         self.tick
-    }
-
-    /// Sets the number of worker threads used for the per-tick compute
-    /// phase (clamped to at least 1). The engine's results are
-    /// bit-identical for every value: parallel workers only compute
-    /// task outcomes, and a single ordered reduce applies them in the
-    /// sequential task order.
-    pub fn set_parallelism(&mut self, jobs: usize) {
-        self.jobs = jobs.max(1);
-    }
-
-    /// Worker threads used for the per-tick compute phase.
-    pub fn parallelism(&self) -> usize {
-        self.jobs
     }
 
     /// The deployed logical plan.
@@ -3659,34 +3653,33 @@ impl Engine {
 
     /// Per-tick processing + emission over every (stage, site) group.
     ///
-    /// # Deterministic parallelism
+    /// # Determinism
     ///
-    /// The tick is executed as *shard → compute → ordered reduce*:
+    /// The tick is executed as *shard → compute → ordered reduce*, on
+    /// the caller's thread:
     ///
-    /// 1. **Shard** (sequential): one task per deployed (op, site)
-    ///    group, in the stable sequential order — topological operator
-    ///    order, then the placement's site order. Each task takes its
-    ///    `Group` out of the map in place (`mem::take`, leaving an
-    ///    empty placeholder), a snapshot of the per-site inputs it
-    ///    needs (failure/suspension status, compute factor) and a set
-    ///    of empty output buffers from the engine's pool.
-    /// 2. **Compute** (parallel over `self.jobs` workers, or inline
-    ///    when `jobs == 1`): [`run_proc_task`] is a pure function of
-    ///    the task plus the *pre-tick* immutable view (`plan`,
-    ///    `physical`, `cfg`, edge buffers). Tasks are independent by
-    ///    construction: a group is private to its task, and an edge
-    ///    buffer keyed `(from_op, from_site, …)` is only ever read or
-    ///    written by the task that owns `(from_op, from_site)` — so
-    ///    reading the pre-tick `edges` map reproduces exactly what the
-    ///    sequential interleaving observed.
-    /// 3. **Reduce** (sequential, in task order): groups are written
-    ///    back into their map slots, sink deliveries are folded into
-    ///    the run metrics and histograms, and each emission — the
-    ///    emitted cohorts once plus `(edge, share)` pairs — is pushed
-    ///    into the edge buffers scaled by its share: the identical
-    ///    mutations, in the identical order, as the historical
-    ///    single-threaded loop. Results are therefore bit-identical
-    ///    for every thread count.
+    /// 1. **Shard**: one task per deployed (op, site) group, in the
+    ///    stable order — topological operator order, then the
+    ///    placement's site order. Each task takes its `Group` out of
+    ///    the map in place (`mem::take`, leaving an empty placeholder),
+    ///    a snapshot of the per-site inputs it needs (failure/suspension
+    ///    status, compute factor) and a set of empty output buffers
+    ///    from the engine's pool.
+    /// 2. **Compute**: [`run_proc_task`] is a pure function of the task
+    ///    plus the *pre-tick* immutable view (`plan`, `physical`,
+    ///    `cfg`, edge buffers). A group is private to its task, and an
+    ///    edge buffer keyed `(from_op, from_site, …)` is only ever read
+    ///    or written by the task that owns `(from_op, from_site)`.
+    /// 3. **Reduce** (in task order): groups are written back into
+    ///    their map slots, sink deliveries are folded into the run
+    ///    metrics and histograms, and each emission — the emitted
+    ///    cohorts once plus `(edge, share)` pairs — is pushed into the
+    ///    edge buffers scaled by its share.
+    ///
+    /// The split fixes the order of every floating-point sum the
+    /// recorded outputs depend on. Task and outcome vectors are
+    /// engine-owned and drained in task order, so a warmed-up tick
+    /// allocates neither.
     fn process_step(&mut self, t0: f64, dt: f64) -> (f64, f64) {
         let t1 = t0 + dt;
         // Expired chain-replay stalls release their ops (empty unless
@@ -3694,33 +3687,40 @@ impl Engine {
         if !self.recovery_replays.is_empty() {
             self.recovery_replays.retain(|_, ready| t0 < *ready);
         }
-        // --- shard: one task per (op, site), in sequential order ---
+        // --- shard: one task per (op, site), in task order ---
         // Partitioned migrations pause only the partitions in flight:
         // the op keeps processing, at capacity scaled down by the
-        // key-weight share currently moving (empty under `Coarse`).
-        let mut inflight: BTreeMap<OpId, f64> = BTreeMap::new();
+        // key-weight share currently moving (all zero under `Coarse`).
+        // A slice's weight counts once per link: the first slice with
+        // data left on a (from, to) link carries it.
+        let inflight = &mut self.inflight_scratch;
+        inflight.clear();
+        inflight.resize(self.plan.len(), 0.0);
         for m in &self.migrations {
             let Some(op) = m.op else { continue };
             if m.slices.is_empty() {
                 continue;
             }
-            let mut links: std::collections::BTreeSet<(SiteId, SiteId)> =
-                std::collections::BTreeSet::new();
+            let links = &mut self.inflight_links;
+            links.clear();
             let mut w = 0.0;
             for s in &m.slices {
-                if s.remaining_mb > 1e-9 && links.insert((s.from, s.to)) {
+                if s.remaining_mb > 1e-9 && !links.contains(&(s.from, s.to)) {
+                    links.push((s.from, s.to));
                     w += s.weight;
                 }
             }
-            *inflight.entry(op).or_insert(0.0) += w;
+            if let Some(slot) = inflight.get_mut(op.index()) {
+                *slot += w;
+            }
         }
-        let mut tasks: Vec<ProcTask> = Vec::with_capacity(self.groups.len());
+        let mut tasks = std::mem::take(&mut self.proc_tasks);
         for &op in self.plan.topo_order() {
             let suspended = self.is_suspended(op);
             // Chain replay stalls the whole op (its state is not yet
             // reconstructed anywhere) — attributed as failure pause.
             let replaying = self.recovery_replays.contains_key(&op);
-            let paused = inflight.get(&op).copied().unwrap_or(0.0);
+            let paused = self.inflight_scratch[op.index()];
             for (site, _) in self.physical.placement(op).iter() {
                 let compute_factor = if paused > 0.0 {
                     self.script.compute_factor(site, SimTime(t0)) * (1.0 - paused.min(1.0))
@@ -3740,7 +3740,7 @@ impl Engine {
                 });
             }
         }
-        // --- compute: pure per-task work, parallel when jobs > 1 ---
+        // --- compute: pure per-task work, in task order ---
         let ctx = ProcCtx {
             plan: &self.plan,
             physical: &self.physical,
@@ -3750,14 +3750,16 @@ impl Engine {
             t1,
             xray: self.xray.is_some(),
         };
-        let outcomes = wasp_parallel::map_ordered(tasks, self.jobs, |t| run_proc_task(&ctx, t));
-        // --- ordered reduce: apply outcomes in sequential task order ---
+        let mut outcomes = std::mem::take(&mut self.proc_outcomes);
+        outcomes.extend(tasks.drain(..).map(|t| run_proc_task(&ctx, t)));
+        self.proc_tasks = tasks;
+        // --- ordered reduce: apply outcomes in task order ---
         let mut delivered_total = 0.0;
         let mut delay_sum = 0.0;
         let mut per_op_processed = std::mem::take(&mut self.per_op_processed);
         per_op_processed.clear();
         per_op_processed.resize(self.plan.len(), 0.0);
-        for mut o in outcomes {
+        for mut o in outcomes.drain(..) {
             if let Some(g) = o.group {
                 *self
                     .groups
@@ -3826,6 +3828,7 @@ impl Engine {
             o.bufs.edges.clear();
             self.emit_pool.push(o.bufs);
         }
+        self.proc_outcomes = outcomes;
         self.state_step(&per_op_processed);
         self.per_op_processed = per_op_processed;
         (delivered_total, delay_sum)
@@ -4659,25 +4662,6 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn parallel_step_is_bit_identical_to_sequential() {
-        // The full recording — every tick row, the delay histogram,
-        // totals — must serialize byte-for-byte identically for any
-        // worker count, under network dynamics and failures.
-        let run = |jobs: usize| {
-            let (net, edge, dc) = world(6.0);
-            let plan = linear_plan(edge, 5000.0, 5.0);
-            let mut eng = engine_for(net, DynamicsScript::section_8_4(), plan, dc);
-            eng.set_parallelism(jobs);
-            eng.run(400.0);
-            serde_json::to_string(eng.metrics()).unwrap()
-        };
-        let seq = run(1);
-        for jobs in [2, 8] {
-            assert_eq!(run(jobs), seq, "jobs={jobs} diverged from sequential");
-        }
     }
 
     #[test]

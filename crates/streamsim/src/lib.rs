@@ -20,7 +20,7 @@
 //! * [`exact_engine`] — record-level execution of whole plans (e.g.
 //!   proving that re-planned queries produce identical results);
 //! * [`testkit`] — canonical-JSON bit-identity assertions shared by
-//!   the sequential↔parallel differential suites.
+//!   the differential suites.
 //!
 //! # Example
 //!

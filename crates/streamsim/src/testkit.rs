@@ -1,9 +1,10 @@
 //! # testkit — shared helpers for differential testing
 //!
-//! The parallel runtime's contract is *bit-identity*: any run — any
-//! thread count, any repetition — must produce byte-for-byte the same
-//! recording as the sequential reference. This module gives the
-//! differential suites one canonical way to state that: serialize both
+//! The engine's contract is *bit-identity*: any repetition of a run,
+//! and any run with an opt-in feature spelled out as off, must produce
+//! byte-for-byte the same recording as the reference. This module
+//! gives the differential suites one canonical way to state that:
+//! serialize both
 //! sides to canonical JSON ([`canonical_json`]) and compare with
 //! [`assert_identical`], which reports the first diverging line
 //! instead of dumping two multi-megabyte blobs.

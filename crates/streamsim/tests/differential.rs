@@ -1,16 +1,20 @@
-//! # Sequential ↔ parallel differential harness
+//! # Determinism and differential harness
 //!
-//! The deterministic parallel runtime's contract: for **any** worker
-//! count, a run is *byte-for-byte* the run the sequential engine
-//! produces — same `RunMetrics` (every tick row, the full delay
-//! histogram, the annotation audit), same monitor snapshot stream,
-//! same controller decision log. This suite proves it three ways:
+//! The engine's contract is *bit-identity*: a run is byte-for-byte
+//! reproducible, and every opt-in feature switched off is byte-for-byte
+//! the path without it — same `RunMetrics` (every tick row, the full
+//! delay histogram, the annotation audit), same monitor snapshot
+//! stream, same controller decision log. This suite checks it three
+//! ways:
 //!
-//! 1. every section-8 scenario (§8.4 both queries, §8.5, §8.6) run at
-//!    1 / 2 / 8 threads under its real controller, comparing canonical
-//!    JSON of the recording and the telemetry decision audit;
-//! 2. a 12-seed chaos sweep (crashes, flaps, blackouts, stragglers via
-//!    `ChaosInjector`) comparing recordings *and* snapshot streams;
+//! 1. every section-8 scenario (§8.4 both queries, §8.5, §8.6) under
+//!    its real controller, with x-ray conservation and with the
+//!    state-model, splitting and compaction switches spelled out
+//!    explicitly, comparing canonical JSON of the recording and the
+//!    telemetry decision audit against the default configuration;
+//! 2. a seeded chaos campaign (crashes, flaps, blackouts, stragglers
+//!    via `ChaosInjector`) run twice, comparing recordings *and*
+//!    snapshot streams;
 //! 3. a fluid-engine ↔ `exact_engine` regression pinning the
 //!    delay/throughput agreement on the three paper queries.
 
@@ -30,30 +34,22 @@ use wasp_streamsim::testkit::{assert_identical, canonical_json, first_divergence
 use wasp_workloads::prelude::*;
 use wasp_workloads::queries::TOPK_K;
 
-/// Parallel worker counts checked against the sequential reference.
-const THREADS: [usize; 2] = [2, 8];
-
 // ---------------------------------------------------------------------
 // 1. Section-8 scenarios: bit-identical recordings + decision audits.
 // ---------------------------------------------------------------------
 
-/// Runs one scenario at the given engine parallelism with recording
-/// telemetry, returning (canonical recording JSON, decision-audit
-/// JSONL).
-fn scenario_digest(
-    run: &dyn Fn(&ScenarioConfig) -> ExperimentResult,
-    jobs: usize,
-) -> (String, String) {
+/// Runs one scenario with recording telemetry, returning (canonical
+/// recording JSON, decision-audit JSONL).
+fn scenario_digest(run: &dyn Fn(&ScenarioConfig) -> ExperimentResult) -> (String, String) {
     let (tel, handle) = Telemetry::recording();
     let cfg = ScenarioConfig {
         seed: 4,
         // Coarse tick: the bit-identity contract is dt-independent,
-        // and 2 s keeps twelve full paper-testbed runs affordable in
+        // and 2 s keeps full paper-testbed runs affordable in
         // debug-mode CI.
         dt: 2.0,
         telemetry: tel,
         metrics: MetricsHub::recording(10.0),
-        jobs,
         ..ScenarioConfig::default()
     };
     let result = run(&cfg);
@@ -63,78 +59,28 @@ fn scenario_digest(
     )
 }
 
-#[test]
-fn section_8_scenarios_bit_identical_across_thread_counts() {
-    type ScenarioRun = Box<dyn Fn(&ScenarioConfig) -> ExperimentResult>;
-    let scenarios: Vec<(&str, ScenarioRun)> = vec![
-        (
-            "section_8_4/topk",
-            Box::new(|cfg| run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_4/advertising",
-            Box::new(|cfg| run_section_8_4(QueryKind::Advertising, ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_5/topk",
-            Box::new(|cfg| run_section_8_5(ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_6/live",
-            Box::new(|cfg| run_section_8_6(ControllerKind::Wasp, cfg)),
-        ),
-    ];
-    for (name, run) in &scenarios {
-        let (metrics_ref, audit_ref) = scenario_digest(run.as_ref(), 1);
-        assert!(
-            !audit_ref.is_empty(),
-            "{name}: the decision audit must actually record decisions"
-        );
-        for jobs in THREADS {
-            let (metrics, audit) = scenario_digest(run.as_ref(), jobs);
-            if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-                panic!("{name} (jobs={jobs}): RunMetrics diverged — {diff}");
-            }
-            if let Some(diff) = first_divergence(&audit_ref, &audit) {
-                panic!("{name} (jobs={jobs}): decision audit diverged — {diff}");
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
-// 1b. X-ray attribution: conservation + bit-identity across threads.
+// 1b. X-ray attribution: conservation.
 // ---------------------------------------------------------------------
 
 /// Runs one scenario with latency attribution on, returning the
-/// canonical JSON of the [`wasp_xray::XrayRun`] snapshot.
-fn xray_digest(
-    run: &dyn Fn(&ScenarioConfig) -> ExperimentResult,
-    jobs: usize,
-) -> (String, wasp_xray::XrayRun) {
+/// [`wasp_xray::XrayRun`] snapshot.
+fn xray_run(run: &dyn Fn(&ScenarioConfig) -> ExperimentResult) -> wasp_xray::XrayRun {
     let cfg = ScenarioConfig {
         seed: 4,
         dt: 2.0,
-        jobs,
         xray: Some(XRAY_DEFAULT_WINDOW_S),
         ..ScenarioConfig::default()
     };
-    let result = run(&cfg);
-    let x = result.xray.expect("xray was enabled");
-    (canonical_json(&x), x)
+    run(&cfg).xray.expect("xray was enabled")
 }
 
-/// The tentpole invariants, over every §8 scenario:
-///
-/// 1. *Conservation* — per (window, sink) cell, the six component
-///    histograms sum to the end-to-end delay histogram's sum within
-///    1e-6 relative error. The ledger never invents or loses time.
-/// 2. *Determinism* — the full attribution snapshot (delivery-view
-///    histograms, flow-view node/edge charges, WAN-link ledger,
-///    adaptation lags) serializes byte-identically at engine
-///    parallelism 1, 2, and 8.
+/// *Conservation*, over every §8 scenario: per (window, sink) cell,
+/// the six component histograms sum to the end-to-end delay
+/// histogram's sum within 1e-6 relative error. The ledger never
+/// invents or loses time.
 #[test]
-fn xray_attribution_conserved_and_bit_identical_across_thread_counts() {
+fn xray_attribution_is_conserved_on_every_section_8_scenario() {
     type ScenarioRun = Box<dyn Fn(&ScenarioConfig) -> ExperimentResult>;
     let scenarios: Vec<(&str, ScenarioRun)> = vec![
         (
@@ -155,7 +101,7 @@ fn xray_attribution_conserved_and_bit_identical_across_thread_counts() {
         ),
     ];
     for (name, run) in &scenarios {
-        let (digest_ref, x) = xray_digest(run.as_ref(), 1);
+        let x = xray_run(run.as_ref());
         assert!(
             x.windows.iter().any(|w| !w.sinks.is_empty()),
             "{name}: attribution must record deliveries"
@@ -165,12 +111,6 @@ fn xray_attribution_conserved_and_bit_identical_across_thread_counts() {
             err <= 1e-6,
             "{name}: conservation violated — components sum off by {err:.3e}"
         );
-        for jobs in THREADS {
-            let (digest, _) = xray_digest(run.as_ref(), jobs);
-            if let Some(diff) = first_divergence(&digest_ref, &digest) {
-                panic!("{name} (jobs={jobs}): attribution diverged — {diff}");
-            }
-        }
     }
 }
 
@@ -179,7 +119,6 @@ fn xray_attribution_conserved_and_bit_identical_across_thread_counts() {
 fn scenario_state_digest(
     run: &dyn Fn(&ScenarioConfig) -> ExperimentResult,
     state: wasp_state::StateModel,
-    jobs: usize,
 ) -> (String, String) {
     let (tel, handle) = Telemetry::recording();
     let cfg = ScenarioConfig {
@@ -187,7 +126,6 @@ fn scenario_state_digest(
         dt: 2.0,
         telemetry: tel,
         metrics: MetricsHub::recording(10.0),
-        jobs,
         state,
         ..ScenarioConfig::default()
     };
@@ -199,50 +137,32 @@ fn scenario_state_digest(
 }
 
 /// Runs the §8.4 top-k scenario with an explicit keyed-state model.
-fn state_model_digest(state: wasp_state::StateModel, jobs: usize) -> (String, String) {
+fn state_model_digest(state: wasp_state::StateModel) -> (String, String) {
     scenario_state_digest(
         &|cfg| run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, cfg),
         state,
-        jobs,
     )
 }
 
 /// The mode switch's contract: `StateModel::Coarse` — the default —
 /// is not merely *similar* to the pre-subsystem engine, it is the
 /// byte-identical legacy path. An explicitly-spelled `Coarse` run must
-/// reproduce the default-config recording and decision audit exactly,
-/// at every worker count.
+/// reproduce the default-config recording and decision audit exactly.
 #[test]
 fn explicit_coarse_state_model_is_byte_identical_to_default() {
     let run: &dyn Fn(&ScenarioConfig) -> ExperimentResult =
         &|cfg| run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, cfg);
-    let (metrics_ref, audit_ref) = scenario_digest(run, 1);
-    for jobs in [1, 2, 8] {
-        let (metrics, audit) = state_model_digest(wasp_state::StateModel::Coarse, jobs);
-        if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-            panic!("explicit Coarse (jobs={jobs}): RunMetrics diverged — {diff}");
-        }
-        if let Some(diff) = first_divergence(&audit_ref, &audit) {
-            panic!("explicit Coarse (jobs={jobs}): decision audit diverged — {diff}");
-        }
+    let (metrics_ref, audit_ref) = scenario_digest(run);
+    assert!(
+        !audit_ref.is_empty(),
+        "the decision audit must actually record decisions"
+    );
+    let (metrics, audit) = state_model_digest(wasp_state::StateModel::Coarse);
+    if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
+        panic!("explicit Coarse: RunMetrics diverged — {diff}");
     }
-}
-
-/// The partitioned model's new per-tick work (sampled writes, delta
-/// checkpoints, slice flights) lives inside the deterministic reduce,
-/// so partitioned runs are also bit-identical at any worker count.
-#[test]
-fn partitioned_state_runs_bit_identical_across_thread_counts() {
-    let part = wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig::default());
-    let (metrics_ref, audit_ref) = state_model_digest(part, 1);
-    for jobs in THREADS {
-        let (metrics, audit) = state_model_digest(part, jobs);
-        if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-            panic!("partitioned (jobs={jobs}): RunMetrics diverged — {diff}");
-        }
-        if let Some(diff) = first_divergence(&audit_ref, &audit) {
-            panic!("partitioned (jobs={jobs}): decision audit diverged — {diff}");
-        }
+    if let Some(diff) = first_divergence(&audit_ref, &audit) {
+        panic!("explicit Coarse: decision audit diverged — {diff}");
     }
 }
 
@@ -251,7 +171,7 @@ fn partitioned_state_runs_bit_identical_across_thread_counts() {
 /// digest). The timeline types deliberately don't serialize, so the
 /// third digest is their `Debug` form — still a full-precision,
 /// deterministic byte string.
-fn skewed_split_digest(jobs: usize) -> (String, String, String) {
+fn skewed_split_digest() -> (String, String, String) {
     let (tel, handle) = Telemetry::recording();
     let cfg = ScenarioConfig {
         seed: 4,
@@ -261,7 +181,6 @@ fn skewed_split_digest(jobs: usize) -> (String, String, String) {
         dt: 0.5,
         telemetry: tel,
         metrics: MetricsHub::recording(10.0),
-        jobs,
         ..ScenarioConfig::default()
     };
     let r = run_skewed_split_experiment(60.0, &cfg);
@@ -272,36 +191,10 @@ fn skewed_split_digest(jobs: usize) -> (String, String, String) {
     )
 }
 
-/// The new split machinery rewrites partition weights mid-flight, so it
-/// must live inside the deterministic reduce like everything else: the
-/// skewed-split scenario — splits firing, lineage-carrying slice
-/// flights, split telemetry — is byte-identical at engine parallelism
-/// 1, 2 and 8.
-#[test]
-fn skewed_split_scenario_bit_identical_across_thread_counts() {
-    let (metrics_ref, audit_ref, timeline_ref) = skewed_split_digest(1);
-    assert!(
-        audit_ref.contains("PartitionSplit"),
-        "the skewed-split scenario must actually split"
-    );
-    for jobs in THREADS {
-        let (metrics, audit, timeline) = skewed_split_digest(jobs);
-        if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-            panic!("skewed-split (jobs={jobs}): RunMetrics diverged — {diff}");
-        }
-        if let Some(diff) = first_divergence(&audit_ref, &audit) {
-            panic!("skewed-split (jobs={jobs}): decision audit diverged — {diff}");
-        }
-        if let Some(diff) = first_divergence(&timeline_ref, &timeline) {
-            panic!("skewed-split (jobs={jobs}): state timeline diverged — {diff}");
-        }
-    }
-}
-
-/// `split_threshold = None` (the default) pins the PR 8 flat-partitioned
-/// path: every §8 scenario runs byte-identically at jobs 1/2/8 with the
-/// split machinery compiled in but disabled, and no `PartitionSplit`
-/// event may appear anywhere in the audit.
+/// `split_threshold = None` (the default) pins the flat-partitioned
+/// path: with the split machinery compiled in but disabled, every §8
+/// scenario records decisions and no `PartitionSplit` event appears
+/// anywhere in the audit.
 #[test]
 fn disabled_splitting_leaves_every_section_8_scenario_untouched() {
     type ScenarioRun = Box<dyn Fn(&ScenarioConfig) -> ExperimentResult>;
@@ -325,29 +218,24 @@ fn disabled_splitting_leaves_every_section_8_scenario_untouched() {
     ];
     let flat = wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig::default());
     for (name, run) in &scenarios {
-        let (metrics_ref, audit_ref) = scenario_state_digest(run.as_ref(), flat, 1);
+        let (_, audit) = scenario_state_digest(run.as_ref(), flat);
         assert!(
-            !audit_ref.contains("PartitionSplit"),
+            !audit.is_empty(),
+            "{name}: the decision audit must actually record decisions"
+        );
+        assert!(
+            !audit.contains("PartitionSplit"),
             "{name}: split_threshold=None must never split"
         );
-        for jobs in THREADS {
-            let (metrics, audit) = scenario_state_digest(run.as_ref(), flat, jobs);
-            if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-                panic!("{name} flat-partitioned (jobs={jobs}): RunMetrics diverged — {diff}");
-            }
-            if let Some(diff) = first_divergence(&audit_ref, &audit) {
-                panic!("{name} flat-partitioned (jobs={jobs}): decision audit diverged — {diff}");
-            }
-        }
     }
 }
 
-/// `CompactionPolicy::None` (the default) pins the PR 9 partitioned
-/// path with the delta-chain machinery compiled in but disabled: for
-/// every §8 scenario *and* the skewed-split scenario, a config
-/// spelling the policy out explicitly is byte-identical to the default
-/// config at jobs 1/2/8, and no chain event (compaction, recovery
-/// replay) may appear anywhere in the audit.
+/// `CompactionPolicy::None` (the default) pins the partitioned path
+/// with the delta-chain machinery compiled in but disabled: for every
+/// §8 scenario *and* the skewed-split scenario, a config spelling the
+/// policy out explicitly is byte-identical to the default config, and
+/// no chain event (compaction, recovery replay) may appear anywhere in
+/// the audit.
 #[test]
 fn disabled_compaction_leaves_every_scenario_untouched() {
     type ScenarioRun = Box<dyn Fn(&ScenarioConfig) -> ExperimentResult>;
@@ -374,48 +262,47 @@ fn disabled_compaction_leaves_every_scenario_untouched() {
         wasp_state::PartitionConfig::with_compaction(wasp_state::CompactionPolicy::None),
     );
     for (name, run) in &scenarios {
-        let (metrics_ref, audit_ref) = scenario_state_digest(run.as_ref(), default_cfg, 1);
+        let (metrics_ref, audit_ref) = scenario_state_digest(run.as_ref(), default_cfg);
         assert!(
             !audit_ref.contains("CheckpointCompaction") && !audit_ref.contains("RecoveryReplay"),
             "{name}: CompactionPolicy::None must never emit chain events"
         );
-        for jobs in [1, 2, 8] {
-            let (metrics, audit) = scenario_state_digest(run.as_ref(), explicit_none, jobs);
-            if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-                panic!("{name} compaction-off (jobs={jobs}): RunMetrics diverged — {diff}");
-            }
-            if let Some(diff) = first_divergence(&audit_ref, &audit) {
-                panic!("{name} compaction-off (jobs={jobs}): decision audit diverged — {diff}");
-            }
+        let (metrics, audit) = scenario_state_digest(run.as_ref(), explicit_none);
+        if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
+            panic!("{name} compaction-off: RunMetrics diverged — {diff}");
+        }
+        if let Some(diff) = first_divergence(&audit_ref, &audit) {
+            panic!("{name} compaction-off: decision audit diverged — {diff}");
         }
     }
     // The skewed-split scenario too: splitting plus an explicit
     // disabled policy reproduces the plain skewed-split digests.
-    let (metrics_ref, audit_ref, timeline_ref) = skewed_split_digest(1);
-    for jobs in [1, 2, 8] {
-        let (metrics, audit, timeline) = skewed_split_none_digest(jobs);
-        if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-            panic!("skewed-split compaction-off (jobs={jobs}): RunMetrics diverged — {diff}");
-        }
-        if let Some(diff) = first_divergence(&audit_ref, &audit) {
-            panic!("skewed-split compaction-off (jobs={jobs}): decision audit diverged — {diff}");
-        }
-        if let Some(diff) = first_divergence(&timeline_ref, &timeline) {
-            panic!("skewed-split compaction-off (jobs={jobs}): state timeline diverged — {diff}");
-        }
+    let (metrics_ref, audit_ref, timeline_ref) = skewed_split_digest();
+    assert!(
+        audit_ref.contains("PartitionSplit"),
+        "the skewed-split scenario must actually split"
+    );
+    let (metrics, audit, timeline) = skewed_split_none_digest();
+    if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
+        panic!("skewed-split compaction-off: RunMetrics diverged — {diff}");
+    }
+    if let Some(diff) = first_divergence(&audit_ref, &audit) {
+        panic!("skewed-split compaction-off: decision audit diverged — {diff}");
+    }
+    if let Some(diff) = first_divergence(&timeline_ref, &timeline) {
+        panic!("skewed-split compaction-off: state timeline diverged — {diff}");
     }
 }
 
 /// [`skewed_split_digest`] with the compaction policy spelled out as
 /// `None` next to the split threshold.
-fn skewed_split_none_digest(jobs: usize) -> (String, String, String) {
+fn skewed_split_none_digest() -> (String, String, String) {
     let (tel, handle) = Telemetry::recording();
     let cfg = ScenarioConfig {
         seed: 4,
         dt: 0.5,
         telemetry: tel,
         metrics: MetricsHub::recording(10.0),
-        jobs,
         ..ScenarioConfig::default()
     };
     let state = wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig {
@@ -431,63 +318,8 @@ fn skewed_split_none_digest(jobs: usize) -> (String, String, String) {
     )
 }
 
-/// Runs the compaction scenario (delta chains, full-snapshot bursts,
-/// scripted failures, recovery replays) and returns (metrics JSON,
-/// audit JSONL, state-timeline digest).
-fn compaction_scenario_digest(jobs: usize) -> (String, String, String) {
-    let (tel, handle) = Telemetry::recording();
-    let cfg = ScenarioConfig {
-        seed: 4,
-        dt: 0.5,
-        telemetry: tel,
-        metrics: MetricsHub::recording(10.0),
-        jobs,
-        ..ScenarioConfig::default()
-    };
-    let r = run_compaction_experiment(
-        wasp_state::CompactionPolicy::every_n_rounds(COMPACTION_EVERY_N_ROUNDS),
-        48.0,
-        &cfg,
-    );
-    (
-        canonical_json(&r.metrics),
-        to_jsonl(&handle.recording()).unwrap(),
-        format!("{:?}", r.timeline),
-    )
-}
-
-/// The chain machinery's own determinism pin: the compaction scenario
-/// — chains recorded every round, full-snapshot flights contending on
-/// the WAN, three scripted failures replaying the chain — is
-/// byte-identical at engine parallelism 1, 2 and 8, including the full
-/// compaction/replay timeline.
-#[test]
-fn compaction_scenario_bit_identical_across_thread_counts() {
-    let (metrics_ref, audit_ref, timeline_ref) = compaction_scenario_digest(1);
-    assert!(
-        audit_ref.contains("CheckpointCompaction"),
-        "the compaction scenario must actually compact"
-    );
-    assert!(
-        audit_ref.contains("RecoveryReplay"),
-        "the compaction scenario must actually replay on failure"
-    );
-    for jobs in THREADS {
-        let (metrics, audit, timeline) = compaction_scenario_digest(jobs);
-        if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-            panic!("compaction (jobs={jobs}): RunMetrics diverged — {diff}");
-        }
-        if let Some(diff) = first_divergence(&audit_ref, &audit) {
-            panic!("compaction (jobs={jobs}): decision audit diverged — {diff}");
-        }
-        if let Some(diff) = first_divergence(&timeline_ref, &timeline) {
-            panic!("compaction (jobs={jobs}): state timeline diverged — {diff}");
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
-// 2. Chaos sweep: seeded fault campaigns, recordings + snapshots.
+// 2. Chaos campaign: recordings + snapshots, run twice.
 // ---------------------------------------------------------------------
 
 /// Three-site chaos world: an edge source plus two data centers.
@@ -504,7 +336,7 @@ fn chaos_world() -> (Network, SiteId, SiteId, SiteId) {
 
 /// src(edge) → window-aggregate → sink(dc1), under a seeded fault
 /// campaign; returns (recording JSON, snapshot-stream JSON).
-fn chaos_digest(seed: u64, jobs: usize) -> (String, String) {
+fn chaos_digest(seed: u64) -> (String, String) {
     let (net, edge, dc1, dc2) = chaos_world();
     let mut p = LogicalPlanBuilder::new("chaos");
     let s = p.add(OperatorSpec::new(
@@ -539,7 +371,6 @@ fn chaos_digest(seed: u64, jobs: usize) -> (String, String) {
         ..EngineConfig::default()
     };
     let mut eng = Engine::new(net, script, plan, physical, cfg).unwrap();
-    eng.set_parallelism(jobs);
     // Drive the monitor loop by hand so the snapshot-event stream
     // itself is part of the comparison.
     let mut snaps = Vec::new();
@@ -550,29 +381,13 @@ fn chaos_digest(seed: u64, jobs: usize) -> (String, String) {
     (canonical_json(eng.metrics()), canonical_json(&snaps))
 }
 
-#[test]
-fn chaos_campaigns_bit_identical_across_thread_counts() {
-    for seed in 0..12u64 {
-        let (metrics_ref, snaps_ref) = chaos_digest(seed, 1);
-        for jobs in THREADS {
-            let (metrics, snaps) = chaos_digest(seed, jobs);
-            if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
-                panic!("chaos seed {seed} (jobs={jobs}): RunMetrics diverged — {diff}");
-            }
-            if let Some(diff) = first_divergence(&snaps_ref, &snaps) {
-                panic!("chaos seed {seed} (jobs={jobs}): snapshot stream diverged — {diff}");
-            }
-        }
-    }
-}
-
-/// Repeating the identical run must also be bit-stable (the RNG,
-/// telemetry and metrics state are per-run, never process-global).
+/// Repeating the identical run must be bit-stable (the RNG, telemetry
+/// and metrics state are per-run, never process-global).
 #[test]
 fn chaos_campaign_double_run_is_bit_stable() {
-    let a = chaos_digest(7, 8);
-    let b = chaos_digest(7, 8);
-    assert_eq!(a, b, "same seed, same jobs → same bytes");
+    let a = chaos_digest(7);
+    let b = chaos_digest(7);
+    assert_eq!(a, b, "same seed → same bytes");
 }
 
 // ---------------------------------------------------------------------
@@ -781,9 +596,9 @@ fn events_of_interest_agrees_with_exact_engine() {
 }
 
 // ---------------------------------------------------------------------
-// Exact engine under parallel scenario shells: the record-level engine
-// is orthogonal to the parallel runtime, but the harness pins that
-// running it alongside parallel fluid runs perturbs nothing.
+// Exact engine next to fluid runs: the record-level engine shares no
+// state with the fluid engine, and the harness pins that running a
+// fluid run in between perturbs nothing.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -801,7 +616,7 @@ fn parallel_fluid_runs_do_not_perturb_exact_results() {
         streams.insert(src, evs);
     }
     let before = canonical_json(&ExactEngine::new(&plan).execute(&streams));
-    // Interleave a parallel fluid run…
+    // Interleave a fluid run…
     let (net2, edges2, dc2) = ample_world(2);
     let sources2: Vec<(SiteId, f64)> = edges2.iter().map(|&e| (e, 500.0)).collect();
     let plan2 = events_of_interest(&sources2, dc2);
@@ -814,7 +629,6 @@ fn parallel_fluid_runs_do_not_perturb_exact_results() {
         EngineConfig::default(),
     )
     .unwrap();
-    eng.set_parallelism(8);
     eng.run(120.0);
     // …and the record-level result is unchanged.
     let after = canonical_json(&ExactEngine::new(&plan).execute(&streams));

@@ -145,11 +145,6 @@ pub struct ScenarioConfig {
     /// histograms, link gauges) and the controller (derived SLO
     /// gauges). Disabled by default, like telemetry.
     pub metrics: MetricsHub,
-    /// Worker threads for the engine's per-tick compute phase.
-    /// Results are bit-identical for every value (see
-    /// `Engine::set_parallelism`). Defaults to `WASP_JOBS` /
-    /// `RAYON_NUM_THREADS` when set, else 1.
-    pub jobs: usize,
     /// Control-plane mode. `Oracle` (the default) keeps the classic
     /// instant, reliable command path; `Lossy` routes heartbeats and
     /// commands over the simulated WAN with configurable loss, makes
@@ -189,7 +184,6 @@ impl Default for ScenarioConfig {
             slo_s: 10.0,
             telemetry: Telemetry::disabled(),
             metrics: MetricsHub::disabled(),
-            jobs: wasp_parallel::env_jobs().unwrap_or(1),
             control: ControlPlaneConfig::Oracle,
             state: wasp_state::StateModel::Coarse,
             xray: None,
@@ -267,7 +261,6 @@ fn run_scenario(
 ) -> ExperimentResult {
     let tb = Testbed::paper(cfg.seed);
     let (mut engine, e2e) = build_engine(kind, &tb, script, engine_config(cfg, controller));
-    engine.set_parallelism(cfg.jobs);
     let tel = cfg.telemetry.clone();
     engine.set_telemetry(tel.clone());
     if let Some(w) = cfg.xray {
@@ -433,7 +426,6 @@ pub fn run_custom(run: CustomRun, cfg: &ScenarioConfig) -> (ExperimentResult, f6
         ..EngineConfig::default()
     };
     let (mut engine, e2e) = build_engine(run.kind, &tb, run.script, engine_cfg);
-    engine.set_parallelism(cfg.jobs);
     engine.set_telemetry(cfg.telemetry.clone());
     if let Some(w) = cfg.xray {
         engine.enable_xray(w);
@@ -761,7 +753,6 @@ pub fn run_skewed_state_experiment(
     };
     let mut engine = Engine::new(net, DynamicsScript::none(), plan, physical, engine_cfg)
         .expect("validated deployment");
-    engine.set_parallelism(cfg.jobs);
     engine.set_telemetry(cfg.telemetry.clone());
     if let Some(w) = cfg.xray {
         engine.enable_xray(w);
@@ -907,7 +898,6 @@ pub fn run_compaction_experiment(
     };
     let mut engine =
         Engine::new(net, script, plan, physical, engine_cfg).expect("validated deployment");
-    engine.set_parallelism(cfg.jobs);
     engine.set_telemetry(cfg.telemetry.clone());
     if let Some(w) = cfg.xray {
         engine.enable_xray(w);

@@ -14,7 +14,8 @@
 //! the components are folded into per-sink per-window
 //! [`LogHistogram`](wasp_metrics::LogHistogram) families by the
 //! [`XrayRecorder`]. Aggregates merge shard-wise exactly like the
-//! delay histogram, so attribution is byte-identical at any `--jobs`.
+//! delay histogram, and the engine observes in one fixed order, so
+//! attribution is byte-identical run to run.
 //!
 //! ## Conservation invariant
 //!

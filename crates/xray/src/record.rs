@@ -33,9 +33,8 @@ use crate::Component;
 /// costs index arithmetic rather than map lookups. The snapshot walks
 /// windows by index, operators by id and edges in row-major order, so
 /// it is deterministic regardless of observation interleaving — the
-/// engine additionally guarantees observations arrive in its
-/// sequential reduce order, making the snapshot byte-identical at any
-/// `--jobs`.
+/// engine additionally guarantees observations arrive in its reduce
+/// order, making the snapshot byte-identical run to run.
 ///
 /// Operator ids index the dense tables, so they must be small dense
 /// ids (a plan's `OpId`s are).

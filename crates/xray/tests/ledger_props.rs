@@ -97,9 +97,9 @@ proptest! {
     /// with single-stream recording (same guarantee the delay
     /// histogram gives: bucket contents match exactly; float sums
     /// agree to summation-order rounding), and both conserve. Exact
-    /// byte-identity across `--jobs` comes from the engine feeding the
-    /// recorder an identical observation sequence at any thread count
-    /// and is pinned by the streamsim differential suite.
+    /// byte-identity run to run comes from the engine feeding the
+    /// recorder an identical observation sequence, and is pinned by
+    /// the observability golden test.
     #[test]
     fn recorder_merge_matches_single_stream(
         deliveries in proptest::collection::vec(

@@ -12,8 +12,12 @@
 //! and allocation-light: 322 699 allocations over the 2 000 ticks
 //! (~161 per tick). The budget is half of that. The engine with the
 //! dense allocator, in-place groups, persistent edge buffers and
-//! reused scratch vectors measures 6 737 (~3.4 per tick), in debug and
-//! release builds alike.
+//! reused scratch vectors measured 6 737 (~3.4 per tick), in debug and
+//! release builds alike, while the compute phase still went through a
+//! thread-pool map that built a fresh task and outcome vector each
+//! tick. With one sequential tick draining engine-owned task and
+//! outcome buffers it measures 2 737 (~1.4 per tick); the budget is
+//! half of 6 737.
 //!
 //! The same engine runs a second time with every observability layer
 //! on: x-ray with 300 s windows, a recording metrics hub scraping every
@@ -21,7 +25,9 @@
 //! onto dense, pre-resolved accumulators and a breakpoint schedule for
 //! dynamics telemetry, they made 71 068 allocations over the counted
 //! ticks (~35.5 per tick); the budget is a quarter of that. With them
-//! the observed engine measures 7 342 (~3.7 per tick).
+//! the observed engine measured 7 342 (~3.7 per tick) before the tick
+//! reused its task and outcome buffers, and 3 342 (~1.7 per tick)
+//! after; the budget is half of 7 342.
 //!
 //! The test is its own binary so the counting allocator sees nothing
 //! but this one scenario.
@@ -46,6 +52,11 @@ const PARENT_ALLOCATIONS: u64 = 322_699;
 /// Allocations made over the counted ticks with every observability
 /// layer on, before those layers were made allocation-light.
 const PARENT_OBSERVED_ALLOCATIONS: u64 = 71_068;
+/// Allocations over the counted ticks while each tick still collected
+/// its compute phase into fresh task and outcome vectors.
+const POOL_MAP_ALLOCATIONS: u64 = 6_737;
+/// The same, with every observability layer on.
+const POOL_MAP_OBSERVED_ALLOCATIONS: u64 = 7_342;
 const WARMUP_TICKS: u64 = 400;
 const COUNTED_TICKS: u64 = 2_000;
 const DT: f64 = 0.25;
@@ -155,6 +166,11 @@ fn engine_tick_allocates_at_most_half_the_parent_budget() {
         "Engine::step made {allocations} allocations over {COUNTED_TICKS} ticks; \
          the budget is half the parent's {PARENT_ALLOCATIONS}"
     );
+    assert!(
+        allocations * 2 <= POOL_MAP_ALLOCATIONS,
+        "Engine::step made {allocations} allocations over {COUNTED_TICKS} ticks; \
+         the budget is half the {POOL_MAP_ALLOCATIONS} of the thread-pool-map tick"
+    );
 
     let mut observed = live_engine(4);
     let (tel, _handle) = Telemetry::recording();
@@ -172,5 +188,11 @@ fn engine_tick_allocates_at_most_half_the_parent_budget() {
         "Engine::step with x-ray, metrics and telemetry on made {allocations} allocations \
          over {COUNTED_TICKS} ticks; the budget is a quarter of the parent's \
          {PARENT_OBSERVED_ALLOCATIONS}"
+    );
+    assert!(
+        allocations * 2 <= POOL_MAP_OBSERVED_ALLOCATIONS,
+        "Engine::step with x-ray, metrics and telemetry on made {allocations} allocations \
+         over {COUNTED_TICKS} ticks; the budget is half the \
+         {POOL_MAP_OBSERVED_ALLOCATIONS} of the thread-pool-map tick"
     );
 }

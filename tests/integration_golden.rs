@@ -1,7 +1,7 @@
 //! Cross-commit output golden: pinned digests of the simulated output.
 //!
 //! The differential suite compares configurations of one build with
-//! each other (thread counts, disabled features). This test compares a
+//! each other (disabled features, repeated runs). This test compares a
 //! build with its *history*: each case serializes a seed-4, dt-0.25
 //! recording (`RunMetrics`) to JSON and checks its FNV-1a-64 digest
 //! against a constant recorded before the engine's hot path was last

@@ -10,15 +10,10 @@ use wasp_telemetry::LogEntry;
 use wasp_workloads::prelude::*;
 
 fn record_8_4(seed: u64) -> Recording {
-    record_8_4_jobs(seed, 1)
-}
-
-fn record_8_4_jobs(seed: u64, jobs: usize) -> Recording {
     let (tel, rec) = Telemetry::recording();
     let cfg = ScenarioConfig {
         seed,
         dt: 1.0,
-        jobs,
         telemetry: tel,
         ..ScenarioConfig::default()
     };
@@ -71,10 +66,10 @@ struct TraceEvent {
     dur: Option<u64>,
 }
 
-/// Golden-file checks shared by the sequential and `--jobs 8` trace
-/// tests: valid JSON, monotonic timestamps, balanced B/E pairs on the
-/// control thread, durations on every complete event. Returns the
-/// maximum control-span nesting depth.
+/// Golden-file checks of a Chrome trace: valid JSON, monotonic
+/// timestamps, balanced B/E pairs on the control thread, durations on
+/// every complete event. Returns the maximum control-span nesting
+/// depth.
 fn check_chrome_trace(text: &str) -> i64 {
     let trace: ChromeTrace = serde_json::from_str(text).expect("trace is valid JSON");
     assert_eq!(trace.displayTimeUnit, "ms");
@@ -118,20 +113,6 @@ fn chrome_trace_is_well_formed() {
         "span hierarchy must nest at least 4 deep, got {max_depth}"
     );
     assert!(rec.max_span_depth() >= 4);
-}
-
-/// The same golden checks on a parallel engine run, plus byte-identity
-/// back to the sequential trace: `--jobs 8` may change the schedule
-/// but never the recorded events.
-#[test]
-fn chrome_trace_at_jobs_8_is_well_formed_and_identical() {
-    let parallel = to_chrome_trace(&record_8_4_jobs(4, 8)).unwrap();
-    check_chrome_trace(&parallel);
-    let sequential = to_chrome_trace(&record_8_4_jobs(4, 1)).unwrap();
-    assert_eq!(
-        sequential, parallel,
-        "the chrome trace must be byte-identical across engine parallelism"
-    );
 }
 
 /// Golden-file check of the Prometheus text exposition over a real
