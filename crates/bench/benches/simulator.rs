@@ -50,7 +50,8 @@ fn bench_simulator(c: &mut Criterion) {
                 dt: 1.0,
                 ..ScenarioConfig::default()
             };
-            std::hint::black_box(run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, &cfg))
+            let spec = ScenarioSpec::section_8_4(QueryKind::TopK, ControllerKind::Wasp);
+            std::hint::black_box(run(&spec, &cfg))
         })
     });
     group.finish();

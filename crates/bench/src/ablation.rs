@@ -34,13 +34,18 @@ fn action_count(metrics: &wasp_streamsim::metrics::RunMetrics) -> usize {
         .count()
 }
 
+/// The §8.4 Top-K run under full WASP, labelled by the α in force at
+/// its end.
+fn alpha_labelled_8_4() -> ScenarioSpec {
+    ScenarioSpec {
+        label: Label::FinalAlpha,
+        ..ScenarioSpec::section_8_4(QueryKind::TopK, ControllerKind::Wasp)
+    }
+}
+
 /// α sweep on the §8.4 Top-K run, plus the adaptive tuner.
 pub fn ablation_alpha(cfg: &HarnessConfig) -> FigureReport {
-    let scenario = ScenarioConfig {
-        seed: cfg.seed,
-        dt: cfg.dt,
-        ..ScenarioConfig::default()
-    };
+    let scenario = cfg.scenario();
     let mut report = FigureReport::new_public(
         "ablation-alpha",
         "Bandwidth headroom α: stability vs. utilization (§4.1)",
@@ -49,12 +54,14 @@ pub fn ablation_alpha(cfg: &HarnessConfig) -> FigureReport {
     let mut p95_points = Vec::new();
     let mut action_points = Vec::new();
     for alpha in [0.5, 0.65, 0.8, 0.95] {
-        let mut run = CustomRun::section_8_4(QueryKind::TopK);
-        run.policy = PolicyConfig {
-            alpha,
-            ..PolicyConfig::default()
+        let spec = ScenarioSpec {
+            policy: PolicyConfig {
+                alpha,
+                ..PolicyConfig::default()
+            },
+            ..alpha_labelled_8_4()
         };
-        let (res, _) = run_custom(run, &scenario);
+        let res = run(&spec, &scenario);
         let p95 = res.metrics.delay_quantile(0.95).unwrap_or(0.0);
         let actions = action_count(&res.metrics);
         p95_points.push((alpha, p95));
@@ -70,13 +77,16 @@ pub fn ablation_alpha(cfg: &HarnessConfig) -> FigureReport {
         ));
     }
     // The automatic tuner (future work implemented).
-    let mut run = CustomRun::section_8_4(QueryKind::TopK);
-    run.adaptive_alpha = true;
-    let (res, final_alpha) = run_custom(run, &scenario);
+    let spec = ScenarioSpec {
+        adaptive_alpha: true,
+        ..alpha_labelled_8_4()
+    };
+    let res = run(&spec, &scenario);
     report.notes.push(format!(
-        "adaptive: p95 delay {:6.1} s, {} adaptations, final α = {final_alpha:.2}",
+        "adaptive: p95 delay {:6.1} s, {} adaptations, final α = {:.2}",
         res.metrics.delay_quantile(0.95).unwrap_or(0.0),
-        action_count(&res.metrics)
+        action_count(&res.metrics),
+        res.final_alpha.expect("WASP runs with an α")
     ));
     report.series.push(Series::new("p95-delay", p95_points));
     report
@@ -88,11 +98,6 @@ pub fn ablation_alpha(cfg: &HarnessConfig) -> FigureReport {
 /// Monitoring-interval sweep: detection latency of the t = 300
 /// workload spike vs. the interval.
 pub fn ablation_monitor_interval(cfg: &HarnessConfig) -> FigureReport {
-    let scenario = ScenarioConfig {
-        seed: cfg.seed,
-        dt: cfg.dt,
-        ..ScenarioConfig::default()
-    };
     let mut report = FigureReport::new_public(
         "ablation-monitor",
         "Monitoring interval: detection latency vs. noise (§8.2)",
@@ -101,9 +106,11 @@ pub fn ablation_monitor_interval(cfg: &HarnessConfig) -> FigureReport {
     let mut detect_points = Vec::new();
     let mut p95_points = Vec::new();
     for interval in [10.0, 20.0, 40.0, 80.0, 160.0] {
-        let mut run = CustomRun::section_8_4(QueryKind::TopK);
-        run.monitor_interval_s = interval;
-        let (res, _) = run_custom(run, &scenario);
+        let scenario = ScenarioConfig {
+            monitor_interval_s: interval,
+            ..cfg.scenario()
+        };
+        let res = run(&alpha_labelled_8_4(), &scenario);
         let detect = first_action_after(&res.metrics, 300.0)
             .map(|t| t - 300.0)
             .unwrap_or(f64::NAN);
@@ -132,14 +139,14 @@ pub fn ablation_checkpoint_interval(cfg: &HarnessConfig) -> FigureReport {
     );
     let mut p95_points = Vec::new();
     for interval in [10.0, 30.0, 60.0, 120.0] {
-        let scenario = ScenarioConfig {
-            seed: cfg.seed,
-            dt: cfg.dt,
-            ..ScenarioConfig::default()
+        let spec = ScenarioSpec {
+            // The live walks without the §8.6 figures' diurnal overlay.
+            dynamics: Dynamics::Live { diurnal: false },
+            checkpoint_interval_s: interval,
+            label: Label::FinalAlpha,
+            ..ScenarioSpec::section_8_6(ControllerKind::Wasp)
         };
-        let mut run = CustomRun::section_8_6(cfg.seed);
-        run.checkpoint_interval_s = interval;
-        let (res, _) = run_custom(run, &scenario);
+        let res = run(&spec, &cfg.scenario());
         // Delay over the post-failure catch-up window.
         let p95 = res
             .metrics
@@ -161,11 +168,6 @@ pub fn ablation_checkpoint_interval(cfg: &HarnessConfig) -> FigureReport {
 /// t_max sweep at 256 MB of state: lower thresholds force partitioning
 /// earlier (§6.2, §8.7.2).
 pub fn ablation_tmax(cfg: &HarnessConfig) -> FigureReport {
-    let scenario = ScenarioConfig {
-        seed: cfg.seed,
-        dt: cfg.dt,
-        ..ScenarioConfig::default()
-    };
     let mut report = FigureReport::new_public(
         "ablation-tmax",
         "Migration-time threshold t_max at 256 MB state (§6.2)",
@@ -178,14 +180,16 @@ pub fn ablation_tmax(cfg: &HarnessConfig) -> FigureReport {
         ("30", 30.0),
         ("inf", f64::INFINITY),
     ] {
-        let res = run_migration_experiment(MigrationVariant::Wasp, 256.0, t_max, &scenario);
-        let total = res.breakdown.map(|b| b.total_s()).unwrap_or(0.0);
+        let spec = ScenarioSpec::migration(MigrationVariant::Wasp, 256.0, t_max);
+        let res = run(&spec, &cfg.scenario());
+        let breakdown = res.breakdown();
+        let total = breakdown.map(|b| b.total_s()).unwrap_or(0.0);
         points.push((if t_max.is_finite() { t_max } else { 1e3 }, total));
         report.notes.push(format!(
             "t_max {label:>4}: transition {:5.1} s + stabilize {:5.1} s = {total:5.1} s, p95 {:5.1} s",
-            res.breakdown.map(|b| b.transition_s).unwrap_or(0.0),
-            res.breakdown.map(|b| b.stabilize_s).unwrap_or(0.0),
-            res.p95_delay
+            breakdown.map(|b| b.transition_s).unwrap_or(0.0),
+            breakdown.map(|b| b.stabilize_s).unwrap_or(0.0),
+            res.p95_delay_after(STRESS_AT_S)
         ));
     }
     report.series.push(Series::new("total-overhead", points));
@@ -203,7 +207,6 @@ pub fn ablation_checkpoint_locality(cfg: &HarnessConfig) -> FigureReport {
     use wasp_netsim::dynamics::DynamicsScript;
     use wasp_netsim::testbed::Testbed;
     use wasp_streamsim::engine::{CheckpointTarget, EngineConfig};
-    use wasp_workloads::scenarios::build_engine;
     let tb = Testbed::paper(cfg.seed);
     let mut report = FigureReport::new_public(
         "ablation-ckpt-locality",
@@ -213,29 +216,25 @@ pub fn ablation_checkpoint_locality(cfg: &HarnessConfig) -> FigureReport {
     // Far rendezvous: São Paulo (the last DC) — checkpoints cross
     // long-haul links.
     let remote_site = *tb.data_centers().last().expect("8 DCs");
-    for (label, target) in [
-        ("local (WASP)", CheckpointTarget::Local),
-        ("rendezvous", CheckpointTarget::Remote(remote_site)),
+    for (label, checkpoints) in [
+        ("local (WASP)", Checkpoints::Local),
+        ("rendezvous", Checkpoints::Remote(remote_site)),
     ] {
-        let engine_cfg = EngineConfig {
-            dt: cfg.dt,
-            checkpoint_target: target,
-            ..EngineConfig::default()
+        // The §8.4 run with no controller at all: only where the
+        // snapshots go differs.
+        let spec = ScenarioSpec {
+            checkpoints,
+            ..ScenarioSpec::section_8_4(QueryKind::TopK, ControllerKind::NoAdapt)
         };
-        let (mut engine, _) = build_engine(
-            QueryKind::TopK,
-            &tb,
-            DynamicsScript::section_8_4(),
-            engine_cfg,
-        );
-        engine.run(1500.0);
+        let (mut engine, _) = spec.deploy(&cfg.scenario());
+        engine.run(spec.horizon_s);
         let (rounds, superseded) = engine.checkpoint_stats();
         let pending = engine.pending_checkpoint_upload_mb().max(0.0);
-        report.notes.push(match target {
-            CheckpointTarget::Local => format!(
+        report.notes.push(match checkpoints {
+            Checkpoints::Local => format!(
                 "{label:<13}: every checkpoint is a local write — zero WAN bytes, zero incomplete rounds"
             ),
-            CheckpointTarget::Remote(_) => format!(
+            _ => format!(
                 "{label:<13}: DC-hosted state: {rounds} upload rounds, {superseded} superseded ({:.0}%), {pending:.0} MB in flight at the end — fast inter-DC links absorb it",
                 100.0 * superseded as f64 / rounds.max(1) as f64
             ),

@@ -19,7 +19,7 @@ use wasp_bench::{
     table3_queries, FigureReport, HarnessConfig,
 };
 use wasp_telemetry::{to_chrome_trace, Telemetry};
-use wasp_workloads::prelude::{run_section_8_4, ControllerKind, QueryKind, ScenarioConfig};
+use wasp_workloads::prelude::{run, ControllerKind, QueryKind, ScenarioConfig, ScenarioSpec};
 
 fn usage() -> ! {
     eprintln!(
@@ -140,12 +140,13 @@ fn main() {
     if let Some(path) = trace_out {
         let (tel, rec) = Telemetry::recording();
         let scenario_cfg = ScenarioConfig {
-            seed: cfg.seed,
-            dt: cfg.dt,
             telemetry: tel,
-            ..ScenarioConfig::default()
+            ..cfg.scenario()
         };
-        run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, &scenario_cfg);
+        run(
+            &ScenarioSpec::section_8_4(QueryKind::TopK, ControllerKind::Wasp),
+            &scenario_cfg,
+        );
         let trace = match to_chrome_trace(&rec.recording()) {
             Ok(trace) => trace,
             Err(e) => die("cannot serialize chrome trace", e),

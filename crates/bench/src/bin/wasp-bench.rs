@@ -231,8 +231,8 @@ fn summarize_scenario(
             .as_ref()
             .map(|x| x.shares().to_vec())
             .unwrap_or_default(),
-        replay_p95_s: result.replay_p95_s.unwrap_or(0.0),
-        compaction_mb: result.compaction_mb.unwrap_or(0.0),
+        replay_p95_s: result.replay_p95_s(),
+        compaction_mb: result.compaction_mb(),
     };
     (bench, mops_med)
 }
@@ -362,61 +362,6 @@ fn bench_partition_scheduler() -> ScenarioBench {
     }
 }
 
-/// Scenario entry points as plain `fn` pointers so the driver closure
-/// that dispatches them is `Sync` (boxed capturing closures are not).
-fn run_84_topk(c: &ScenarioConfig) -> ExperimentResult {
-    run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, c)
-}
-fn run_84_advertising(c: &ScenarioConfig) -> ExperimentResult {
-    run_section_8_4(QueryKind::Advertising, ControllerKind::Wasp, c)
-}
-fn run_85_topk(c: &ScenarioConfig) -> ExperimentResult {
-    run_section_8_5(ControllerKind::Wasp, c)
-}
-fn run_86_live(c: &ScenarioConfig) -> ExperimentResult {
-    run_section_8_6(ControllerKind::Wasp, c)
-}
-/// The skewed-state rescue with runtime key-range splitting on: the
-/// §5 scenario whose migration pauses the split machinery exists to
-/// bound. Folding it into the gated grid keeps both the split hot path
-/// and its downstream slice scheduling under the regression gate.
-fn run_skewed_split(c: &ScenarioConfig) -> ExperimentResult {
-    let r = run_skewed_split_experiment(60.0, c);
-    ExperimentResult {
-        label: r.label,
-        query: "topk (skewed split)".to_string(),
-        metrics: r.metrics,
-        e2e_selectivity: r.e2e_selectivity,
-        xray: r.xray,
-        replay_p95_s: None,
-        compaction_mb: None,
-    }
-}
-/// The delta-chain scenario: incremental checkpoints accrue a chain,
-/// round-count compaction folds it into full-snapshot bursts, and
-/// three scripted failures replay whatever chain they find. Gating it
-/// keeps the chain bookkeeping, the compaction flights, and the
-/// recovery-replay stall machinery on the regression radar, and the
-/// report row carries the replay p95 and burst volume.
-fn run_compaction(c: &ScenarioConfig) -> ExperimentResult {
-    let r = run_compaction_experiment(
-        wasp_state::CompactionPolicy::every_n_rounds(COMPACTION_EVERY_N_ROUNDS),
-        48.0,
-        c,
-    );
-    ExperimentResult {
-        label: r.label,
-        query: "topk (delta chain)".to_string(),
-        metrics: r.metrics,
-        e2e_selectivity: r.e2e_selectivity,
-        xray: r.xray,
-        replay_p95_s: Some(r.replay_p95_s),
-        compaction_mb: Some(r.compaction_mb),
-    }
-}
-
-type ScenarioFn = fn(&ScenarioConfig) -> ExperimentResult;
-
 /// One (repeat, scenario) cell of the benchmark grid.
 #[derive(Debug, Clone, Copy)]
 struct WorkUnit {
@@ -498,13 +443,38 @@ fn main() {
     // Warm-up calibration (discarded): first-touch effects land here.
     let _ = calibrate();
 
-    let runs: &[(&str, ScenarioFn)] = &[
-        ("section_8_4_topk", run_84_topk),
-        ("section_8_4_advertising", run_84_advertising),
-        ("section_8_5_topk", run_85_topk),
-        ("section_8_6_live", run_86_live),
-        ("skewed_split_topk", run_skewed_split),
-        ("compaction_topk", run_compaction),
+    let runs: &[(&str, ScenarioSpec)] = &[
+        (
+            "section_8_4_topk",
+            ScenarioSpec::section_8_4(QueryKind::TopK, ControllerKind::Wasp),
+        ),
+        (
+            "section_8_4_advertising",
+            ScenarioSpec::section_8_4(QueryKind::Advertising, ControllerKind::Wasp),
+        ),
+        (
+            "section_8_5_topk",
+            ScenarioSpec::section_8_5(ControllerKind::Wasp),
+        ),
+        (
+            "section_8_6_live",
+            ScenarioSpec::section_8_6(ControllerKind::Wasp),
+        ),
+        // The skewed-state rescue with runtime key-range splitting on:
+        // keeps the split hot path and its downstream slice scheduling
+        // under the regression gate.
+        ("skewed_split_topk", ScenarioSpec::skewed_split(60.0)),
+        // The delta chain: incremental checkpoints, round-count
+        // compaction bursts, and three scripted failures replaying
+        // whatever chain they find; the row carries the replay p95
+        // and burst volume.
+        (
+            "compaction_topk",
+            ScenarioSpec::compaction(
+                wasp_state::CompactionPolicy::every_n_rounds(COMPACTION_EVERY_N_ROUNDS),
+                48.0,
+            ),
+        ),
     ];
     // Scenarios are interleaved round-robin across the repeats (run
     // A,B,C,D then A,B,C,D again, …) so a burst of machine noise
@@ -541,10 +511,9 @@ fn main() {
             xray: Some(XRAY_DEFAULT_WINDOW_S),
             ..Default::default()
         };
-        let run = runs[unit.idx].1;
         let mops = calibrate();
         let t0 = Instant::now();
-        let r = run(&c);
+        let r = run(&runs[unit.idx].1, &c);
         let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
         let timed = TimedRepeat {
             mops,

@@ -656,9 +656,6 @@ fn main() {
         lossy_cfg.seed = cfg.seed;
         cfg.control = ControlPlaneConfig::Lossy(lossy_cfg);
     }
-    if partitioned {
-        cfg.state = wasp_state::StateModel::Partitioned(pcfg);
-    }
 
     let (tel, rec) = if echo {
         Telemetry::recording_echo()
@@ -669,51 +666,53 @@ fn main() {
     let hub = MetricsHub::recording(10.0);
     cfg.metrics = hub.clone();
 
-    let mut skewed_note = String::new();
-    let result = match scenario.as_str() {
-        "section_8_4" => run_section_8_4(query, controller, &cfg),
-        "section_8_5" => run_section_8_5(controller, &cfg),
-        "section_8_6" => run_section_8_6(controller, &cfg),
-        "skewed_state" => {
-            let res = run_skewed_state_experiment(cfg.state, state_mb, &cfg);
-            skewed_note = format!(
-                "\nskewed-state experiment ({} MB stage, {} model): \
-                 p95 per-key migration downtime {:.2}s\n",
-                state_mb, res.label, res.downtime_p95_s
-            );
-            ExperimentResult {
-                label: res.label,
-                query: "topk (skewed state)".to_string(),
-                metrics: res.metrics,
-                e2e_selectivity: res.e2e_selectivity,
-                xray: res.xray,
-                replay_p95_s: None,
-                compaction_mb: None,
-            }
-        }
+    let state = if partitioned {
+        wasp_state::StateModel::Partitioned(pcfg)
+    } else {
+        wasp_state::StateModel::Coarse
+    };
+    let with_state = |spec: ScenarioSpec| ScenarioSpec { state, ..spec };
+    let spec = match scenario.as_str() {
+        "section_8_4" => with_state(ScenarioSpec::section_8_4(query, controller)),
+        "section_8_5" => with_state(ScenarioSpec::section_8_5(controller)),
+        "section_8_6" => with_state(ScenarioSpec::section_8_6(controller)),
+        "skewed_state" => ScenarioSpec::skewed_state(state, state_mb),
         "compaction" => {
             let policy = if compact_every == 0 {
                 wasp_state::CompactionPolicy::unbounded()
             } else {
                 wasp_state::CompactionPolicy::every_n_rounds(compact_every)
             };
-            let res = run_compaction_experiment(policy, state_mb, &cfg);
-            skewed_note = format!(
-                "\ncompaction experiment ({} MB stage, {} chain): \
-                 recovery replay p95 {:.2}s, {:.1} MB of full-snapshot bursts\n",
-                state_mb, res.label, res.replay_p95_s, res.compaction_mb
-            );
-            ExperimentResult {
-                label: res.label,
-                query: "topk (delta chain)".to_string(),
-                metrics: res.metrics,
-                e2e_selectivity: res.e2e_selectivity,
-                xray: res.xray,
-                replay_p95_s: Some(res.replay_p95_s),
-                compaction_mb: Some(res.compaction_mb),
+            // Always partitioned; the partition knobs still apply.
+            let state = wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig {
+                compaction: policy,
+                ..pcfg
+            });
+            ScenarioSpec {
+                state,
+                ..ScenarioSpec::compaction(policy, state_mb)
             }
         }
         _ => usage(),
+    };
+    let result = run(&spec, &cfg);
+    let skewed_note = match scenario.as_str() {
+        "skewed_state" => format!(
+            "\nskewed-state experiment ({} MB stage, {} model): \
+             p95 per-key migration downtime {:.2}s\n",
+            state_mb,
+            result.label,
+            result.downtime_p95_s()
+        ),
+        "compaction" => format!(
+            "\ncompaction experiment ({} MB stage, {} chain): \
+             recovery replay p95 {:.2}s, {:.1} MB of full-snapshot bursts\n",
+            state_mb,
+            result.label,
+            result.replay_p95_s(),
+            result.compaction_mb()
+        ),
+        _ => String::new(),
     };
 
     let recording = rec.recording();

@@ -11,13 +11,12 @@
 //!   but stale deployment improved by background re-planning.
 
 use crate::{FigureReport, HarnessConfig, Series};
-use wasp_core::controller::{run_controlled, NoAdaptController, WaspController};
+use wasp_core::controller::{run_controlled, WaspController};
 use wasp_core::policy::PolicyConfig;
 use wasp_netsim::dynamics::DynamicsScript;
 use wasp_netsim::prelude::*;
 use wasp_streamsim::prelude::*;
 use wasp_workloads::prelude::*;
-use wasp_workloads::scenarios::build_engine;
 
 fn engine_cfg(cfg: &HarnessConfig) -> EngineConfig {
     EngineConfig {
@@ -34,43 +33,28 @@ pub fn ext_straggler(cfg: &HarnessConfig) -> FigureReport {
         "Straggler at the bottleneck stage's host (extension)",
         "time (s) vs delay (s, log)",
     );
-    let tb = Testbed::paper(cfg.seed);
-    // Find where the filter initially lands so the straggler hits it.
-    let (probe, _) = build_engine(
-        QueryKind::TopK,
-        &tb,
-        DynamicsScript::none(),
-        engine_cfg(cfg),
-    );
-    let plan = probe.plan();
-    let filter = plan
-        .op_ids()
-        .find(|&op| plan.op(op).name() == "filter-geo")
-        .expect("filter exists");
-    let host = probe.physical().placement(filter).sites()[0];
+    let filter = Stage::Named("filter-geo");
+    let straggler = |controller| {
+        let speed = FactorSeries::steps(1.0, &[(200.0, 0.25), (700.0, 1.0)]);
+        let dynamics = Dynamics::Straggler {
+            stage: filter,
+            speed,
+        };
+        ScenarioSpec::new("straggler", QueryKind::TopK, dynamics, controller, 1000.0)
+    };
+    let host = straggler(ControllerKind::NoAdapt).stage_host(filter, cfg.seed);
     report.notes.push(format!(
         "straggler at {host}: compute ×0.25 during t = 200–700"
     ));
-    let script = DynamicsScript::none().with_straggler(
-        host,
-        FactorSeries::steps(1.0, &[(200.0, 0.25), (700.0, 1.0)]),
-    );
-    for (label, wasp) in [("No Adapt", false), ("WASP", true)] {
-        let (mut engine, _) = build_engine(QueryKind::TopK, &tb, script.clone(), engine_cfg(cfg));
-        if wasp {
-            let mut ctrl = WaspController::new(PolicyConfig::default());
-            run_controlled(&mut engine, &mut ctrl, 1000.0, 40.0);
-        } else {
-            let mut ctrl = NoAdaptController;
-            run_controlled(&mut engine, &mut ctrl, 1000.0, 40.0);
-        }
-        let m = engine.metrics();
+    for controller in [ControllerKind::NoAdapt, ControllerKind::Wasp] {
+        let res = run(&straggler(controller), &cfg.scenario());
+        let m = &res.metrics;
         report
             .series
-            .push(Series::new(label, m.delay_series(cfg.bucket_s)));
+            .push(Series::new(&res.label, m.delay_series(cfg.bucket_s)));
         for (t, a) in m.actions() {
             if !a.starts_with("transition") {
-                report.notes.push(format!("{label}: {a} at t={t:.0}"));
+                report.notes.push(format!("{}: {a} at t={t:.0}", res.label));
             }
         }
     }
@@ -136,39 +120,37 @@ pub fn ext_periodic_replan(cfg: &HarnessConfig) -> FigureReport {
         "Periodic background re-planning for long-term dynamics (extension)",
         "variant vs actions / final placement",
     );
-    let tb = Testbed::paper(cfg.seed);
     // A slow drift: the links into the filter's initial host decay to
     // 60 % — not enough to trip any bottleneck check, but enough that
     // a better placement exists.
-    let (probe, _) = build_engine(
+    let drift = Dynamics::InboundDegrade {
+        stage: Stage::Named("filter-geo"),
+        at_s: 100.0,
+        factor: 0.6,
+    };
+    let spec = ScenarioSpec::new(
+        "periodic",
         QueryKind::TopK,
-        &tb,
-        DynamicsScript::none(),
-        engine_cfg(cfg),
+        drift,
+        ControllerKind::Wasp,
+        800.0,
     );
-    let plan = probe.plan();
-    let filter = plan
-        .op_ids()
-        .find(|&op| plan.op(op).name() == "filter-geo")
-        .expect("filter exists");
-    let host = probe.physical().placement(filter).sites()[0];
     for (label, periodic) in [("reactive only", false), ("with periodic re-plan", true)] {
-        let mut net = tb.static_network();
-        for site in tb.topology().site_ids() {
-            if site != host {
-                net.set_pair_factor(site, host, FactorSeries::steps(1.0, &[(100.0, 0.6)]));
-            }
-        }
-        let plan = QueryKind::TopK.build_default(tb.edges(), tb.data_centers()[0]);
-        let physical =
-            initial_deployment(&plan, &tb.static_network(), 0.8).expect("testbed deployment");
-        let mut engine = Engine::new(net, DynamicsScript::none(), plan, physical, engine_cfg(cfg))
-            .expect("valid deployment");
+        // Driven by hand: the background re-plan period is a
+        // controller knob the spec does not carry, and the figure
+        // reads the final placement off the engine.
+        let (mut engine, _) = spec.deploy(&cfg.scenario());
+        let plan = engine.plan();
+        let filter = plan
+            .op_ids()
+            .find(|&op| plan.op(op).name() == "filter-geo")
+            .expect("filter exists");
+        let host = engine.physical().placement(filter).sites()[0];
         let mut ctrl = WaspController::new(PolicyConfig::default());
         if periodic {
             ctrl = ctrl.with_periodic_replan(200.0);
         }
-        run_controlled(&mut engine, &mut ctrl, 800.0, 40.0);
+        run_controlled(&mut engine, &mut ctrl, spec.horizon_s, 40.0);
         let final_host = engine.physical().placement(filter).sites();
         let actions: Vec<String> = engine
             .metrics()

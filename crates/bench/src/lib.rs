@@ -157,12 +157,9 @@ pub struct HarnessConfig {
 impl Default for HarnessConfig {
     fn default() -> Self {
         HarnessConfig {
-            // Keep in sync with ScenarioConfig::default(): the figure
-            // assertions need the testbed realization this seed draws.
-            seed: std::env::var("WASP_SCENARIO_SEED")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(4),
+            // The figure assertions need the testbed realization the
+            // scenario default seed draws.
+            seed: ScenarioConfig::default().seed,
             dt: 0.25,
             bucket_s: 30.0,
         }
@@ -170,7 +167,9 @@ impl Default for HarnessConfig {
 }
 
 impl HarnessConfig {
-    fn scenario(&self) -> ScenarioConfig {
+    /// The scenario configuration at this harness's seed and tick,
+    /// defaults otherwise.
+    pub fn scenario(&self) -> ScenarioConfig {
         ScenarioConfig {
             seed: self.seed,
             dt: self.dt,
@@ -333,7 +332,7 @@ pub fn fig8_9_adaptation(cfg: &HarnessConfig) -> Vec<FigureReport> {
             ControllerKind::Degrade,
             ControllerKind::Wasp,
         ] {
-            let res = run_section_8_4(*kind, ctrl, &scenario);
+            let res = run(&ScenarioSpec::section_8_4(*kind, ctrl), &scenario);
             let label = if ctrl == ControllerKind::Wasp {
                 "Re-opt".to_string()
             } else {
@@ -389,7 +388,7 @@ pub fn fig10_techniques(cfg: &HarnessConfig) -> Vec<FigureReport> {
         ControllerKind::ScaleOnly,
         ControllerKind::ReplanOnly,
     ] {
-        let res = run_section_8_5(ctrl, &scenario);
+        let res = run(&ScenarioSpec::section_8_5(ctrl), &scenario);
         cdf.series
             .push(Series::new(&res.label, res.metrics.delay_cdf(100)));
         over_time.series.push(Series::new(
@@ -474,7 +473,7 @@ pub fn fig11_12_live(cfg: &HarnessConfig) -> Vec<FigureReport> {
         ControllerKind::Degrade,
         ControllerKind::Wasp,
     ] {
-        let res = run_section_8_6(ctrl, &scenario);
+        let res = run(&ScenarioSpec::section_8_6(ctrl), &scenario);
         delay.series.push(Series::new(
             &res.label,
             res.metrics.delay_series(cfg.bucket_s),
@@ -529,23 +528,26 @@ pub fn fig13_migration(cfg: &HarnessConfig) -> Vec<FigureReport> {
         for s in 0..3u64 {
             let scenario = ScenarioConfig {
                 seed: cfg.seed + s,
-                dt: cfg.dt,
-                ..ScenarioConfig::default()
+                ..cfg.scenario()
             };
-            let res = run_migration_experiment(variant, 60.0, f64::INFINITY, &scenario);
+            let res = run(
+                &ScenarioSpec::migration(variant, 60.0, f64::INFINITY),
+                &scenario,
+            );
             if s == 0 {
                 delay.series.push(Series::new(
                     res.label.clone(),
                     res.metrics.delay_series(10.0),
                 ));
-                if res.lost_state_mb > 0.0 {
+                if res.lost_state_mb() > 0.0 {
                     overhead.notes.push(format!(
                         "{}: abandoned {:.0} MB of state (accuracy loss)",
-                        res.label, res.lost_state_mb
+                        res.label,
+                        res.lost_state_mb()
                     ));
                 }
             }
-            if let Some(b) = res.breakdown {
+            if let Some(b) = res.breakdown() {
                 transitions.push(b.transition_s);
                 stabilizes.push(b.stabilize_s);
             }
@@ -590,9 +592,10 @@ pub fn fig14_partitioning(cfg: &HarnessConfig) -> Vec<FigureReport> {
         let mut trans_points = Vec::new();
         let mut stab_points = Vec::new();
         for &mb in &sizes {
-            let res = run_migration_experiment(MigrationVariant::Wasp, mb, t_max, &scenario);
-            p95_points.push((mb, res.p95_delay));
-            let b = res.breakdown.unwrap_or(OverheadBreakdown {
+            let spec = ScenarioSpec::migration(MigrationVariant::Wasp, mb, t_max);
+            let res = run(&spec, &scenario);
+            p95_points.push((mb, res.p95_delay_after(STRESS_AT_S)));
+            let b = res.breakdown().unwrap_or(OverheadBreakdown {
                 start_s: 0.0,
                 transition_s: 0.0,
                 stabilize_s: 0.0,
@@ -653,7 +656,7 @@ pub fn table2_comparison(cfg: &HarnessConfig) -> FigureReport {
         (ControllerKind::ScaleOnly, "operator parallelism", "stage"),
         (ControllerKind::ReplanOnly, "query execution plan", "query"),
     ] {
-        let res = run_section_8_5(ctrl, &scenario);
+        let res = run(&ScenarioSpec::section_8_5(ctrl), &scenario);
         report.notes.push(format!(
             "{:<18} | {:<17} | {:<11} | {:>14.1} | {:>10.1}%",
             res.label,
@@ -663,7 +666,8 @@ pub fn table2_comparison(cfg: &HarnessConfig) -> FigureReport {
             100.0 * (1.0 - res.metrics.dropped_fraction())
         ));
     }
-    let res = run_section_8_4(QueryKind::TopK, ControllerKind::Degrade, &scenario);
+    let spec = ScenarioSpec::section_8_4(QueryKind::TopK, ControllerKind::Degrade);
+    let res = run(&spec, &scenario);
     report.notes.push(format!(
         "{:<18} | {:<17} | {:<11} | {:>14.1} | {:>10.1}%",
         "Degradation",

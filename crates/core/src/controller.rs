@@ -31,6 +31,12 @@ pub trait Controller {
 
     /// Called once per monitoring interval.
     fn on_monitor(&mut self, engine: &mut Engine);
+
+    /// The bandwidth headroom α in force, for controllers that have
+    /// one (tuned or fixed); `None` for the static baselines.
+    fn alpha(&self) -> Option<f64> {
+        None
+    }
 }
 
 /// Runs an engine under a controller for `duration_s`, invoking the
@@ -326,33 +332,34 @@ impl WaspController {
         self
     }
 
-    /// The §8.5 `Re-assign` variant: only task re-assignment.
-    pub fn reassign_only() -> WaspController {
+    /// The §8.5 `Re-assign` variant of `base`: only task
+    /// re-assignment.
+    pub fn reassign_only(base: PolicyConfig) -> WaspController {
         WaspController::new(PolicyConfig {
             allow_scale: false,
             allow_replan: false,
             scale_down: false,
-            ..PolicyConfig::default()
+            ..base
         })
     }
 
-    /// The §8.5 `Scale` variant: re-assignment first, scaling when no
-    /// placement exists (and gradual scale-down).
-    pub fn scale_only() -> WaspController {
+    /// The §8.5 `Scale` variant of `base`: re-assignment first,
+    /// scaling when no placement exists (and gradual scale-down).
+    pub fn scale_only(base: PolicyConfig) -> WaspController {
         WaspController::new(PolicyConfig {
             allow_replan: false,
-            ..PolicyConfig::default()
+            ..base
         })
     }
 
-    /// The §8.5 `Re-plan` variant: whole-pipeline re-planning only,
-    /// never changing parallelism.
-    pub fn replan_only() -> WaspController {
+    /// The §8.5 `Re-plan` variant of `base`: whole-pipeline
+    /// re-planning only, never changing parallelism.
+    pub fn replan_only(base: PolicyConfig) -> WaspController {
         WaspController::new(PolicyConfig {
             allow_reassign: false,
             allow_scale: false,
             scale_down: false,
-            ..PolicyConfig::default()
+            ..base
         })
     }
 
@@ -881,6 +888,10 @@ impl Controller for WaspController {
         &self.label
     }
 
+    fn alpha(&self) -> Option<f64> {
+        Some(self.current_alpha())
+    }
+
     fn on_monitor(&mut self, engine: &mut Engine) {
         // Hand any adaptation-lag samples recorded without an engine
         // in scope to the xray recorder (no-op when xray is off).
@@ -1295,9 +1306,10 @@ mod tests {
         assert_eq!(NoAdaptController.name(), "No Adapt");
         assert_eq!(DegradeController::new(10.0).name(), "Degrade");
         assert_eq!(WaspController::new(PolicyConfig::default()).name(), "WASP");
-        assert_eq!(WaspController::reassign_only().name(), "Re-assign");
-        assert_eq!(WaspController::scale_only().name(), "Scale");
-        assert_eq!(WaspController::replan_only().name(), "Re-plan");
+        let base = PolicyConfig::default;
+        assert_eq!(WaspController::reassign_only(base()).name(), "Re-assign");
+        assert_eq!(WaspController::scale_only(base()).name(), "Scale");
+        assert_eq!(WaspController::replan_only(base()).name(), "Re-plan");
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! ways:
 //!
 //! 1. every section-8 scenario (§8.4 both queries, §8.5, §8.6) under
-//!    its real controller, with x-ray conservation and with the
-//!    state-model, splitting and compaction switches spelled out
-//!    explicitly, comparing canonical JSON of the recording and the
-//!    telemetry decision audit against the default configuration;
+//!    its real controller, with the state-model, splitting and
+//!    compaction switches spelled out explicitly, comparing canonical
+//!    JSON of the recording and the telemetry decision audit against
+//!    the default configuration — and every scenario spec with x-ray,
+//!    telemetry and metrics on, checking conservation and that
+//!    observing the run leaves its recording untouched;
 //! 2. a seeded chaos campaign (crashes, flaps, blackouts, stragglers
 //!    via `ChaosInjector`) run twice, comparing recordings *and*
 //!    snapshot streams;
@@ -38,70 +40,139 @@ use wasp_workloads::queries::TOPK_K;
 // 1. Section-8 scenarios: bit-identical recordings + decision audits.
 // ---------------------------------------------------------------------
 
-/// Runs one scenario with recording telemetry, returning (canonical
-/// recording JSON, decision-audit JSONL).
-fn scenario_digest(run: &dyn Fn(&ScenarioConfig) -> ExperimentResult) -> (String, String) {
+/// The four section-8 scenarios under full WASP.
+fn section_8_specs() -> Vec<(&'static str, ScenarioSpec)> {
+    vec![
+        (
+            "section_8_4/topk",
+            ScenarioSpec::section_8_4(QueryKind::TopK, ControllerKind::Wasp),
+        ),
+        (
+            "section_8_4/advertising",
+            ScenarioSpec::section_8_4(QueryKind::Advertising, ControllerKind::Wasp),
+        ),
+        (
+            "section_8_5/topk",
+            ScenarioSpec::section_8_5(ControllerKind::Wasp),
+        ),
+        (
+            "section_8_6/live",
+            ScenarioSpec::section_8_6(ControllerKind::Wasp),
+        ),
+    ]
+}
+
+/// Runs `spec` at seed 4 and tick `dt` with recording telemetry and a
+/// recording metrics hub, returning (canonical recording JSON,
+/// decision-audit JSONL, state-timeline digest). The timeline types
+/// deliberately don't serialize, so the third digest is their `Debug`
+/// form — still a full-precision, deterministic byte string.
+fn spec_digest(spec: &ScenarioSpec, dt: f64) -> (String, String, String) {
     let (tel, handle) = Telemetry::recording();
     let cfg = ScenarioConfig {
         seed: 4,
-        // Coarse tick: the bit-identity contract is dt-independent,
-        // and 2 s keeps full paper-testbed runs affordable in
-        // debug-mode CI.
-        dt: 2.0,
+        dt,
         telemetry: tel,
         metrics: MetricsHub::recording(10.0),
         ..ScenarioConfig::default()
     };
-    let result = run(&cfg);
+    let result = run(spec, &cfg);
     (
         canonical_json(&result.metrics),
         to_jsonl(&handle.recording()).unwrap(),
+        format!("{:?}", result.timeline),
     )
 }
 
-// ---------------------------------------------------------------------
-// 1b. X-ray attribution: conservation.
-// ---------------------------------------------------------------------
-
-/// Runs one scenario with latency attribution on, returning the
-/// [`wasp_xray::XrayRun`] snapshot.
-fn xray_run(run: &dyn Fn(&ScenarioConfig) -> ExperimentResult) -> wasp_xray::XrayRun {
-    let cfg = ScenarioConfig {
-        seed: 4,
-        dt: 2.0,
-        xray: Some(XRAY_DEFAULT_WINDOW_S),
-        ..ScenarioConfig::default()
+/// [`spec_digest`] of a section-8 scenario under an explicit keyed-state
+/// model, at a coarse tick: the bit-identity contract is
+/// dt-independent, and 2 s keeps full paper-testbed runs affordable in
+/// debug-mode CI.
+fn scenario_state_digest(spec: &ScenarioSpec, state: wasp_state::StateModel) -> (String, String) {
+    let spec = ScenarioSpec {
+        state,
+        ..spec.clone()
     };
-    run(&cfg).xray.expect("xray was enabled")
+    let (metrics, audit, _) = spec_digest(&spec, 2.0);
+    (metrics, audit)
 }
 
-/// *Conservation*, over every §8 scenario: per (window, sink) cell,
-/// the six component histograms sum to the end-to-end delay
-/// histogram's sum within 1e-6 relative error. The ledger never
-/// invents or loses time.
+// ---------------------------------------------------------------------
+// 1b. Every scenario spec observed: x-ray conservation, and observing
+//     perturbs nothing.
+// ---------------------------------------------------------------------
+
+/// Every spec constructor — the section-8 runs, the four §8.7
+/// migration variants, the skewed-state runs (coarse, partitioned,
+/// split) and both compaction arms — run with x-ray, a recording
+/// telemetry sink and a recording metrics hub all on:
+///
+/// * *conservation*: per (window, sink) cell, the six component
+///   histograms sum to the end-to-end delay histogram's sum within
+///   1e-6 relative error — the ledger never invents or loses time;
+/// * every observer records something;
+/// * the `RunMetrics` equal those of the same spec run with every
+///   observer off.
 #[test]
-fn xray_attribution_is_conserved_on_every_section_8_scenario() {
-    type ScenarioRun = Box<dyn Fn(&ScenarioConfig) -> ExperimentResult>;
-    let scenarios: Vec<(&str, ScenarioRun)> = vec![
+fn xray_attribution_is_conserved_on_every_scenario_spec() {
+    // The §8.7 scaffolds need the fine tick for the monitor to see the
+    // degradation at all; they are short, so it stays cheap.
+    let mut specs: Vec<(&str, ScenarioSpec, f64)> = section_8_specs()
+        .into_iter()
+        .map(|(name, spec)| (name, spec, 2.0))
+        .collect();
+    for variant in [
+        MigrationVariant::Wasp,
+        MigrationVariant::Random,
+        MigrationVariant::Distant,
+        MigrationVariant::NoMigrate,
+    ] {
+        let spec = ScenarioSpec::migration(variant, 60.0, f64::INFINITY);
+        specs.push((variant.label(), spec, 0.5));
+    }
+    let partitioned = wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig::default());
+    specs.extend([
         (
-            "section_8_4/topk",
-            Box::new(|cfg| run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, cfg)),
+            "skewed/coarse",
+            ScenarioSpec::skewed_state(wasp_state::StateModel::Coarse, 60.0),
+            0.5,
         ),
         (
-            "section_8_4/advertising",
-            Box::new(|cfg| run_section_8_4(QueryKind::Advertising, ControllerKind::Wasp, cfg)),
+            "skewed/partitioned",
+            ScenarioSpec::skewed_state(partitioned, 60.0),
+            0.5,
+        ),
+        ("skewed/split", ScenarioSpec::skewed_split(60.0), 0.5),
+        (
+            "compaction/bounded",
+            ScenarioSpec::compaction(
+                wasp_state::CompactionPolicy::every_n_rounds(COMPACTION_EVERY_N_ROUNDS),
+                48.0,
+            ),
+            0.5,
         ),
         (
-            "section_8_5/topk",
-            Box::new(|cfg| run_section_8_5(ControllerKind::Wasp, cfg)),
+            "compaction/unbounded",
+            ScenarioSpec::compaction(wasp_state::CompactionPolicy::unbounded(), 48.0),
+            0.5,
         ),
-        (
-            "section_8_6/live",
-            Box::new(|cfg| run_section_8_6(ControllerKind::Wasp, cfg)),
-        ),
-    ];
-    for (name, run) in &scenarios {
-        let x = xray_run(run.as_ref());
+    ]);
+    for (name, spec, dt) in &specs {
+        let plain = ScenarioConfig {
+            seed: 4,
+            dt: *dt,
+            ..ScenarioConfig::default()
+        };
+        let (tel, handle) = Telemetry::recording();
+        let hub = MetricsHub::recording(10.0);
+        let observed = ScenarioConfig {
+            telemetry: tel,
+            metrics: hub.clone(),
+            xray: Some(XRAY_DEFAULT_WINDOW_S),
+            ..plain.clone()
+        };
+        let r = run(spec, &observed);
+        let x = r.xray.as_ref().expect("xray was enabled");
         assert!(
             x.windows.iter().any(|w| !w.sinks.is_empty()),
             "{name}: attribution must record deliveries"
@@ -111,37 +182,22 @@ fn xray_attribution_is_conserved_on_every_section_8_scenario() {
             err <= 1e-6,
             "{name}: conservation violated — components sum off by {err:.3e}"
         );
+        assert!(
+            handle.recording().events().next().is_some(),
+            "{name}: telemetry recorded nothing"
+        );
+        assert!(
+            !hub.snapshots().is_empty(),
+            "{name}: the metrics hub recorded nothing"
+        );
+        let unobserved = run(spec, &plain);
+        if let Some(diff) = first_divergence(
+            &canonical_json(&unobserved.metrics),
+            &canonical_json(&r.metrics),
+        ) {
+            panic!("{name}: observing the run perturbed its RunMetrics — {diff}");
+        }
     }
-}
-
-/// Runs one scenario with an explicit keyed-state model, returning the
-/// same digests as [`scenario_digest`].
-fn scenario_state_digest(
-    run: &dyn Fn(&ScenarioConfig) -> ExperimentResult,
-    state: wasp_state::StateModel,
-) -> (String, String) {
-    let (tel, handle) = Telemetry::recording();
-    let cfg = ScenarioConfig {
-        seed: 4,
-        dt: 2.0,
-        telemetry: tel,
-        metrics: MetricsHub::recording(10.0),
-        state,
-        ..ScenarioConfig::default()
-    };
-    let result = run(&cfg);
-    (
-        canonical_json(&result.metrics),
-        to_jsonl(&handle.recording()).unwrap(),
-    )
-}
-
-/// Runs the §8.4 top-k scenario with an explicit keyed-state model.
-fn state_model_digest(state: wasp_state::StateModel) -> (String, String) {
-    scenario_state_digest(
-        &|cfg| run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, cfg),
-        state,
-    )
 }
 
 /// The mode switch's contract: `StateModel::Coarse` — the default —
@@ -150,14 +206,13 @@ fn state_model_digest(state: wasp_state::StateModel) -> (String, String) {
 /// reproduce the default-config recording and decision audit exactly.
 #[test]
 fn explicit_coarse_state_model_is_byte_identical_to_default() {
-    let run: &dyn Fn(&ScenarioConfig) -> ExperimentResult =
-        &|cfg| run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, cfg);
-    let (metrics_ref, audit_ref) = scenario_digest(run);
+    let spec = ScenarioSpec::section_8_4(QueryKind::TopK, ControllerKind::Wasp);
+    let (metrics_ref, audit_ref, _) = spec_digest(&spec, 2.0);
     assert!(
         !audit_ref.is_empty(),
         "the decision audit must actually record decisions"
     );
-    let (metrics, audit) = state_model_digest(wasp_state::StateModel::Coarse);
+    let (metrics, audit) = scenario_state_digest(&spec, wasp_state::StateModel::Coarse);
     if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
         panic!("explicit Coarse: RunMetrics diverged — {diff}");
     }
@@ -166,59 +221,15 @@ fn explicit_coarse_state_model_is_byte_identical_to_default() {
     }
 }
 
-/// Runs the skewed-state experiment with runtime key-range splitting
-/// enabled, returning (metrics JSON, audit JSONL, state-timeline
-/// digest). The timeline types deliberately don't serialize, so the
-/// third digest is their `Debug` form — still a full-precision,
-/// deterministic byte string.
-fn skewed_split_digest() -> (String, String, String) {
-    let (tel, handle) = Telemetry::recording();
-    let cfg = ScenarioConfig {
-        seed: 4,
-        // The skewed-state rescue needs the fine tick to trigger at
-        // all (at dt=2 the monitor never sees the degradation cross
-        // its threshold); the run is short, so this stays cheap.
-        dt: 0.5,
-        telemetry: tel,
-        metrics: MetricsHub::recording(10.0),
-        ..ScenarioConfig::default()
-    };
-    let r = run_skewed_split_experiment(60.0, &cfg);
-    (
-        canonical_json(&r.metrics),
-        to_jsonl(&handle.recording()).unwrap(),
-        format!("{:?}", r.timeline),
-    )
-}
-
 /// `split_threshold = None` (the default) pins the flat-partitioned
 /// path: with the split machinery compiled in but disabled, every §8
 /// scenario records decisions and no `PartitionSplit` event appears
 /// anywhere in the audit.
 #[test]
 fn disabled_splitting_leaves_every_section_8_scenario_untouched() {
-    type ScenarioRun = Box<dyn Fn(&ScenarioConfig) -> ExperimentResult>;
-    let scenarios: Vec<(&str, ScenarioRun)> = vec![
-        (
-            "section_8_4/topk",
-            Box::new(|cfg| run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_4/advertising",
-            Box::new(|cfg| run_section_8_4(QueryKind::Advertising, ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_5/topk",
-            Box::new(|cfg| run_section_8_5(ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_6/live",
-            Box::new(|cfg| run_section_8_6(ControllerKind::Wasp, cfg)),
-        ),
-    ];
     let flat = wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig::default());
-    for (name, run) in &scenarios {
-        let (_, audit) = scenario_state_digest(run.as_ref(), flat);
+    for (name, spec) in &section_8_specs() {
+        let (_, audit) = scenario_state_digest(spec, flat);
         assert!(
             !audit.is_empty(),
             "{name}: the decision audit must actually record decisions"
@@ -238,36 +249,17 @@ fn disabled_splitting_leaves_every_section_8_scenario_untouched() {
 /// the audit.
 #[test]
 fn disabled_compaction_leaves_every_scenario_untouched() {
-    type ScenarioRun = Box<dyn Fn(&ScenarioConfig) -> ExperimentResult>;
-    let scenarios: Vec<(&str, ScenarioRun)> = vec![
-        (
-            "section_8_4/topk",
-            Box::new(|cfg| run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_4/advertising",
-            Box::new(|cfg| run_section_8_4(QueryKind::Advertising, ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_5/topk",
-            Box::new(|cfg| run_section_8_5(ControllerKind::Wasp, cfg)),
-        ),
-        (
-            "section_8_6/live",
-            Box::new(|cfg| run_section_8_6(ControllerKind::Wasp, cfg)),
-        ),
-    ];
     let default_cfg = wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig::default());
     let explicit_none = wasp_state::StateModel::Partitioned(
         wasp_state::PartitionConfig::with_compaction(wasp_state::CompactionPolicy::None),
     );
-    for (name, run) in &scenarios {
-        let (metrics_ref, audit_ref) = scenario_state_digest(run.as_ref(), default_cfg);
+    for (name, spec) in &section_8_specs() {
+        let (metrics_ref, audit_ref) = scenario_state_digest(spec, default_cfg);
         assert!(
             !audit_ref.contains("CheckpointCompaction") && !audit_ref.contains("RecoveryReplay"),
             "{name}: CompactionPolicy::None must never emit chain events"
         );
-        let (metrics, audit) = scenario_state_digest(run.as_ref(), explicit_none);
+        let (metrics, audit) = scenario_state_digest(spec, explicit_none);
         if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
             panic!("{name} compaction-off: RunMetrics diverged — {diff}");
         }
@@ -276,13 +268,25 @@ fn disabled_compaction_leaves_every_scenario_untouched() {
         }
     }
     // The skewed-split scenario too: splitting plus an explicit
-    // disabled policy reproduces the plain skewed-split digests.
-    let (metrics_ref, audit_ref, timeline_ref) = skewed_split_digest();
+    // disabled policy reproduces the plain skewed-split digests. The
+    // skewed-state rescue needs the fine tick to trigger at all (at
+    // dt=2 the monitor never sees the degradation cross its
+    // threshold); the run is short, so this stays cheap.
+    let split = ScenarioSpec::skewed_split(60.0);
+    let (metrics_ref, audit_ref, timeline_ref) = spec_digest(&split, 0.5);
     assert!(
         audit_ref.contains("PartitionSplit"),
         "the skewed-split scenario must actually split"
     );
-    let (metrics, audit, timeline) = skewed_split_none_digest();
+    let split_none = ScenarioSpec {
+        state: wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig {
+            split_threshold: Some(SKEWED_SPLIT_THRESHOLD),
+            compaction: wasp_state::CompactionPolicy::None,
+            ..wasp_state::PartitionConfig::default()
+        }),
+        ..split
+    };
+    let (metrics, audit, timeline) = spec_digest(&split_none, 0.5);
     if let Some(diff) = first_divergence(&metrics_ref, &metrics) {
         panic!("skewed-split compaction-off: RunMetrics diverged — {diff}");
     }
@@ -292,30 +296,6 @@ fn disabled_compaction_leaves_every_scenario_untouched() {
     if let Some(diff) = first_divergence(&timeline_ref, &timeline) {
         panic!("skewed-split compaction-off: state timeline diverged — {diff}");
     }
-}
-
-/// [`skewed_split_digest`] with the compaction policy spelled out as
-/// `None` next to the split threshold.
-fn skewed_split_none_digest() -> (String, String, String) {
-    let (tel, handle) = Telemetry::recording();
-    let cfg = ScenarioConfig {
-        seed: 4,
-        dt: 0.5,
-        telemetry: tel,
-        metrics: MetricsHub::recording(10.0),
-        ..ScenarioConfig::default()
-    };
-    let state = wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig {
-        split_threshold: Some(SKEWED_SPLIT_THRESHOLD),
-        compaction: wasp_state::CompactionPolicy::None,
-        ..wasp_state::PartitionConfig::default()
-    });
-    let r = run_skewed_state_experiment(state, 60.0, &cfg);
-    (
-        canonical_json(&r.metrics),
-        to_jsonl(&handle.recording()).unwrap(),
-        format!("{:?}", r.timeline),
-    )
 }
 
 // ---------------------------------------------------------------------

@@ -13,7 +13,9 @@
 //! * [`cluster`] — multi-query co-scheduling over one shared WAN
 //!   (tenants coupled through cross traffic);
 //! * [`deploy`] — WAN-aware initial deployment (one stage at a time);
-//! * [`scenarios`] — §8.4/§8.5/§8.6/§8.7 experiment runners.
+//! * [`scenarios`] — the §8.4/§8.5/§8.6/§8.7 experiments as
+//!   [`ScenarioSpec`](scenarios::ScenarioSpec)s and the one
+//!   [`run`](scenarios::run) that executes them.
 //!
 //! # Example
 //!
@@ -21,7 +23,8 @@
 //! use wasp_workloads::prelude::*;
 //!
 //! let cfg = ScenarioConfig::default();
-//! let result = run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, &cfg);
+//! let spec = ScenarioSpec::section_8_4(QueryKind::TopK, ControllerKind::Wasp);
+//! let result = run(&spec, &cfg);
 //! println!("mean delay: {:?}", result.metrics.mean_delay());
 //! ```
 //!
@@ -47,12 +50,10 @@ pub mod prelude {
         advertising_campaign, events_of_interest, topk_topics, QueryKind, DEFAULT_RATE,
     };
     pub use crate::scenarios::{
-        build_engine, overhead_breakdown, recovery_times, run_compaction_experiment, run_custom,
-        run_migration_experiment, run_section_8_4, run_section_8_5, run_section_8_6,
-        run_skewed_split_experiment, run_skewed_state_experiment, CompactionRunResult,
-        ControllerKind, CustomRun, ExperimentResult, MigrationResult, MigrationVariant,
-        OverheadBreakdown, ScenarioConfig, SkewedStateResult, COMPACTION_EVERY_N_ROUNDS,
-        SKEWED_SPLIT_THRESHOLD, XRAY_DEFAULT_WINDOW_S,
+        build_engine, overhead_breakdown, recovery_times, run, Checkpoints, ControllerKind,
+        Dynamics, ExperimentResult, Label, MigrationVariant, OverheadBreakdown, ScenarioConfig,
+        ScenarioSpec, Stage, COMPACTION_EVERY_N_ROUNDS, SKEWED_SPLIT_THRESHOLD, STRESS_AT_S,
+        XRAY_DEFAULT_WINDOW_S,
     };
     pub use crate::twitter::TwitterTrace;
     pub use crate::ysb::{AdEvent, EventType, YsbGenerator};

@@ -1,10 +1,15 @@
 //! End-to-end experiment scenarios — the runs behind every figure of
 //! §8.
 //!
-//! Each function deploys one of the Table 3 queries on the paper's
-//! 16-node testbed, drives it with the section's dynamics script, runs
-//! it under a chosen controller, and returns the recording the figure
-//! harness (and the integration tests) consume.
+//! A [`ScenarioSpec`] says *what* is simulated: one of the Table 3
+//! queries on the paper's 16-node testbed, its state size and keyed
+//! state model, the dynamics it faces, where it checkpoints, the
+//! controller and policy that adapt it, and the horizon. Named
+//! constructors build the §8 grid ([`ScenarioSpec::section_8_4`],
+//! [`ScenarioSpec::migration`], [`ScenarioSpec::compaction`], …). A
+//! [`ScenarioConfig`] says *how* one run is driven and observed (seed,
+//! tick, monitoring interval, SLO, telemetry, metrics, control plane,
+//! x-ray), and [`run`] turns the pair into one [`ExperimentResult`].
 
 use crate::deploy::initial_deployment;
 use crate::queries::QueryKind;
@@ -16,12 +21,15 @@ use wasp_core::controller::{
 };
 use wasp_core::policy::PolicyConfig;
 use wasp_metrics::MetricsHub;
-use wasp_netsim::dynamics::DynamicsScript;
+use wasp_netsim::dynamics::{DynamicsScript, Failure};
+use wasp_netsim::site::SiteId;
 use wasp_netsim::testbed::Testbed;
 use wasp_netsim::trace::FactorSeries;
-use wasp_netsim::units::MegaBytes;
+use wasp_netsim::units::{MegaBytes, SimTime};
 use wasp_optimizer::migration::MigrationStrategy;
-use wasp_streamsim::engine::{Engine, EngineConfig};
+use wasp_state::timeline::StateTimeline;
+use wasp_streamsim::engine::{CheckpointTarget, Engine, EngineConfig};
+use wasp_streamsim::ids::OpId;
 use wasp_streamsim::metrics::RunMetrics;
 use wasp_streamsim::operator::StateModel;
 use wasp_streamsim::physical::PhysicalPlan;
@@ -58,75 +66,41 @@ impl ControllerKind {
         }
     }
 
-    /// Instantiates the controller.
-    pub fn instantiate(&self, slo_s: f64) -> Box<dyn Controller> {
-        self.instantiate_with(slo_s, Telemetry::disabled())
-    }
-
-    /// Instantiates the controller with a telemetry sink attached (the
-    /// adaptive variants emit their decision audit trail into it; the
-    /// static baselines have nothing to say).
-    pub fn instantiate_with(&self, slo_s: f64, tel: Telemetry) -> Box<dyn Controller> {
-        self.instantiate_full(slo_s, tel, MetricsHub::disabled())
-    }
-
-    /// Instantiates the controller with both observability sinks: the
-    /// telemetry audit trail and the metrics hub (derived SLO gauges,
-    /// round/action counters, adaptation-lag histogram).
-    pub fn instantiate_full(
+    /// Instantiates the controller. The WASP variants run `policy` with
+    /// their §8.5 technique restrictions applied, the tuner on when
+    /// `adaptive_alpha` is set, and the run's telemetry, metrics hub
+    /// and control-plane mode attached. Under
+    /// [`ControlPlaneConfig::Lossy`] they detect failures from
+    /// heartbeat silence and send commands over the fenced, retried
+    /// channel; the static baselines (`No Adapt`, `Degrade`) never
+    /// react to failures, so the mode changes nothing for them.
+    fn instantiate(
         &self,
-        slo_s: f64,
-        tel: Telemetry,
-        hub: MetricsHub,
+        policy: PolicyConfig,
+        adaptive_alpha: bool,
+        cfg: &ScenarioConfig,
     ) -> Box<dyn Controller> {
-        self.instantiate_control(slo_s, tel, hub, &ControlPlaneConfig::Oracle)
-    }
-
-    /// Like [`ControllerKind::instantiate_full`] but also selecting
-    /// the control-plane mode. Under [`ControlPlaneConfig::Lossy`] the
-    /// WASP variants detect failures from heartbeat silence and send
-    /// commands over the fenced, retried channel; the static baselines
-    /// (`No Adapt`, `Degrade`) never react to failures, so the mode
-    /// changes nothing for them.
-    pub fn instantiate_control(
-        &self,
-        slo_s: f64,
-        tel: Telemetry,
-        hub: MetricsHub,
-        control: &ControlPlaneConfig,
-    ) -> Box<dyn Controller> {
-        match self {
-            ControllerKind::NoAdapt => Box::new(NoAdaptController),
-            ControllerKind::Degrade => Box::new(DegradeController::new(slo_s)),
-            ControllerKind::Wasp => Box::new(
-                WaspController::new(PolicyConfig::default())
-                    .with_telemetry(tel)
-                    .with_metrics(hub)
-                    .with_control_plane(control.clone()),
-            ),
-            ControllerKind::ReassignOnly => Box::new(
-                WaspController::reassign_only()
-                    .with_telemetry(tel)
-                    .with_metrics(hub)
-                    .with_control_plane(control.clone()),
-            ),
-            ControllerKind::ScaleOnly => Box::new(
-                WaspController::scale_only()
-                    .with_telemetry(tel)
-                    .with_metrics(hub)
-                    .with_control_plane(control.clone()),
-            ),
-            ControllerKind::ReplanOnly => Box::new(
-                WaspController::replan_only()
-                    .with_telemetry(tel)
-                    .with_metrics(hub)
-                    .with_control_plane(control.clone()),
-            ),
+        let ctrl = match self {
+            ControllerKind::NoAdapt => return Box::new(NoAdaptController),
+            ControllerKind::Degrade => return Box::new(DegradeController::new(cfg.slo_s)),
+            ControllerKind::Wasp => WaspController::new(policy),
+            ControllerKind::ReassignOnly => WaspController::reassign_only(policy),
+            ControllerKind::ScaleOnly => WaspController::scale_only(policy),
+            ControllerKind::ReplanOnly => WaspController::replan_only(policy),
         }
+        .with_telemetry(cfg.telemetry.clone())
+        .with_metrics(cfg.metrics.clone())
+        .with_control_plane(cfg.control.clone());
+        Box::new(if adaptive_alpha {
+            ctrl.with_adaptive_alpha()
+        } else {
+            ctrl
+        })
     }
 }
 
-/// Common scenario parameters (§8.2 defaults).
+/// How one run is driven and observed (§8.2 defaults). What is
+/// simulated lives in the [`ScenarioSpec`].
 #[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     /// Testbed / dynamics seed.
@@ -151,12 +125,6 @@ pub struct ScenarioConfig {
     /// the WASP controllers detect failures from heartbeat silence,
     /// and fences every command with the controller epoch.
     pub control: ControlPlaneConfig,
-    /// Keyed-state model for the engine (and the policy's overhead
-    /// estimate). `Coarse` (the default) reproduces the classic
-    /// whole-blob behaviour bit-for-bit; `Partitioned` splits each
-    /// stateful stage into hash partitions, checkpoints only dirty
-    /// deltas, and pipelines migrations partition-by-partition.
-    pub state: wasp_state::StateModel,
     /// Latency-attribution (xray) reporting-window width in seconds.
     /// `None` (the default) leaves attribution off and the run
     /// byte-identical to pre-xray builds; `Some(w)` records per-sink
@@ -185,16 +153,487 @@ impl Default for ScenarioConfig {
             telemetry: Telemetry::disabled(),
             metrics: MetricsHub::disabled(),
             control: ControlPlaneConfig::Oracle,
-            state: wasp_state::StateModel::Coarse,
             xray: None,
         }
+    }
+}
+
+/// An operator whose host a host-relative stress targets, resolved
+/// against the WAN-aware initial deployment.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Stage {
+    /// The plan's first stateful stage.
+    Stateful,
+    /// The operator with this name (e.g. Top-K's `"filter-geo"`).
+    Named(&'static str),
+}
+
+impl Stage {
+    fn op(&self, plan: &LogicalPlan) -> OpId {
+        match self {
+            Stage::Stateful => plan.stateful_ops()[0],
+            Stage::Named(name) => plan
+                .op_ids()
+                .find(|&op| plan.op(op).name() == *name)
+                .unwrap_or_else(|| panic!("{} has no stage {name}", plan.name())),
+        }
+    }
+}
+
+/// The dynamics a scenario faces.
+#[derive(Debug, Clone)]
+pub enum Dynamics {
+    /// A fixed script ([`DynamicsScript::section_8_4`],
+    /// [`DynamicsScript::section_8_5`], or hand-written).
+    Script(DynamicsScript),
+    /// The §8.6 live environment drawn from the run's seed over the
+    /// horizon: per-source workload walks in [0.8, 2.4], an all-link
+    /// bandwidth walk in [0.51, 2.36], and a full failure at t = 540
+    /// restored after 60 s. `diurnal` layers the Twitter trace's
+    /// diurnal pattern on the workload walks (the §8.6 figures do; the
+    /// checkpoint-interval ablation does not).
+    Live {
+        /// Layer the Twitter diurnal pattern on the workload.
+        diurnal: bool,
+    },
+    /// From `at_s` on, every link into the host of `stage` carries
+    /// `factor` of its bandwidth.
+    InboundDegrade {
+        /// Whose host is cut off.
+        stage: Stage,
+        /// Onset, seconds.
+        at_s: f64,
+        /// Bandwidth factor after the onset.
+        factor: f64,
+    },
+    /// The host of `stage` fails at each of `at_s`, restored
+    /// `restore_after_s` later.
+    HostFailures {
+        /// Whose host fails.
+        stage: Stage,
+        /// Failure times, seconds.
+        at_s: Vec<f64>,
+        /// Outage length, seconds.
+        restore_after_s: f64,
+    },
+    /// The host of `stage` computes at `speed` × its nominal rate.
+    Straggler {
+        /// Whose host straggles.
+        stage: Stage,
+        /// Compute-speed factor over time.
+        speed: FactorSeries,
+    },
+}
+
+/// Where a scenario's checkpoints go.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Checkpoints {
+    /// Site-local storage — WASP's localized checkpointing (§5).
+    Local,
+    /// A rendezvous storage system at one site.
+    Remote(SiteId),
+    /// A rendezvous at the first data center that does not host the
+    /// stateful stage (the sink when there is none), so every round is
+    /// a real WAN flight.
+    RemoteOffStage,
+}
+
+/// How a run is labelled in legends and reports.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Label {
+    /// The controller's legend label ([`ControllerKind::label`]).
+    Controller,
+    /// `"WASP(α=…)"` with the α in force when the run ends (the α
+    /// ablations, which fix or tune it).
+    FinalAlpha,
+    /// A fixed variant label (`"Random"`, `"Partitioned"`,
+    /// `"every-4-rounds"`, …).
+    Fixed(String),
+}
+
+/// One testbed experiment: what is simulated. Build it with a named
+/// constructor, adjust fields, and hand it to [`run`] with a
+/// [`ScenarioConfig`].
+#[derive(Debug, Clone)]
+pub struct ScenarioSpec {
+    /// Scenario name (the root telemetry span's `scenario:` tag).
+    pub name: &'static str,
+    /// Query under test.
+    pub query: QueryKind,
+    /// Replaces the query's name in reports (`"topk (delta chain)"`).
+    pub query_label: Option<&'static str>,
+    /// Resizes the plan's fixed-state stage to this many MB.
+    pub state_mb: Option<f64>,
+    /// Keyed-state model of both the engine and the policy's overhead
+    /// estimate. `Coarse` reproduces the classic whole-blob behaviour
+    /// bit-for-bit; `Partitioned` splits each stateful stage into hash
+    /// partitions, checkpoints only dirty deltas, and pipelines
+    /// migrations partition-by-partition.
+    pub state: wasp_state::StateModel,
+    /// The dynamics the query faces.
+    pub dynamics: Dynamics,
+    /// Checkpoint interval, seconds.
+    pub checkpoint_interval_s: f64,
+    /// Checkpoint destination.
+    pub checkpoints: Checkpoints,
+    /// Controller driving the adaptation.
+    pub controller: ControllerKind,
+    /// Policy of the WASP controllers (α, t_max, migration strategy,
+    /// …); its `state` is replaced by [`ScenarioSpec::state`], and a
+    /// [`MigrationStrategy::Random`] mapping draws from the run's seed.
+    pub policy: PolicyConfig,
+    /// Enable the automatic α tuner.
+    pub adaptive_alpha: bool,
+    /// Run length, seconds.
+    pub horizon_s: f64,
+    /// Result label.
+    pub label: Label,
+}
+
+/// When the §8.7 scaffolds cut the stateful stage's host off.
+pub const STRESS_AT_S: f64 = 150.0;
+
+/// Canonical split threshold of the skewed-split scenario (the bench
+/// baseline row, the report quickstart, and the differential suite all
+/// use it): the default 16-partition Zipf head weighs ~0.30, so 0.15
+/// forces two splits of the head and halves the worst migration slice.
+pub const SKEWED_SPLIT_THRESHOLD: f64 = 0.15;
+
+/// Canonical compaction cadence of the compaction scenario (the
+/// BENCH_pr10 baseline row and the differential suite use it): a full
+/// snapshot every 4 delta rounds keeps recovery replay near one
+/// snapshot's worth while the unbounded arm accrues every round since
+/// t = 0.
+pub const COMPACTION_EVERY_N_ROUNDS: u32 = 4;
+
+/// How §8.7 experiments migrate state.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum MigrationVariant {
+    /// WASP's network-aware min-max mapping.
+    Wasp,
+    /// Ignore bandwidth: random mapping.
+    Random,
+    /// Worst-case mapping (slowest links).
+    Distant,
+    /// Do not migrate state at all (loses accuracy).
+    NoMigrate,
+}
+
+impl MigrationVariant {
+    /// Display label (Fig. 13).
+    pub fn label(&self) -> &'static str {
+        match self {
+            MigrationVariant::Wasp => "WASP",
+            MigrationVariant::Random => "Random",
+            MigrationVariant::Distant => "Distant",
+            MigrationVariant::NoMigrate => "No Migrate",
+        }
+    }
+}
+
+impl ScenarioSpec {
+    /// `query` facing `dynamics` under `controller` for `horizon_s`,
+    /// with the §8.2 defaults otherwise: the query's own state size,
+    /// coarse state, 30 s local checkpoints, the default policy.
+    pub fn new(
+        name: &'static str,
+        query: QueryKind,
+        dynamics: Dynamics,
+        controller: ControllerKind,
+        horizon_s: f64,
+    ) -> ScenarioSpec {
+        ScenarioSpec {
+            name,
+            query,
+            query_label: None,
+            state_mb: None,
+            state: wasp_state::StateModel::Coarse,
+            dynamics,
+            checkpoint_interval_s: 30.0,
+            checkpoints: Checkpoints::Local,
+            controller,
+            policy: PolicyConfig::default(),
+            adaptive_alpha: false,
+            horizon_s,
+            label: Label::Controller,
+        }
+    }
+
+    /// §8.4 (Figs. 8–9): workload 10k→20k→10k ev/s at t = 300/600,
+    /// bandwidth ×0.3 at t = 900 restored at t = 1200; 1500 s total.
+    pub fn section_8_4(query: QueryKind, controller: ControllerKind) -> ScenarioSpec {
+        let script = Dynamics::Script(DynamicsScript::section_8_4());
+        ScenarioSpec::new("section_8_4", query, script, controller, 1500.0)
+    }
+
+    /// §8.5 (Fig. 10): Top-K under workload ×{1,2,2,1,1} and bandwidth
+    /// ×{1,1,0.5,0.5,1} per 300 s interval; 1500 s total.
+    pub fn section_8_5(controller: ControllerKind) -> ScenarioSpec {
+        let script = Dynamics::Script(DynamicsScript::section_8_5());
+        ScenarioSpec::new("section_8_5", QueryKind::TopK, script, controller, 1500.0)
+    }
+
+    /// §8.6 (Figs. 11–12): Top-K in the live trace-driven environment
+    /// with the Twitter diurnal pattern ([`Dynamics::Live`]); 1800 s.
+    pub fn section_8_6(controller: ControllerKind) -> ScenarioSpec {
+        let live = Dynamics::Live { diurnal: true };
+        ScenarioSpec::new("section_8_6", QueryKind::TopK, live, controller, 1800.0)
+    }
+
+    /// §8.7 scaffold: a Top-K stage holding `state_mb` of state whose
+    /// inbound links degrade ×0.01 at [`STRESS_AT_S`], so the monitor
+    /// (next round ≈ t = 160–180) must move it; WASP without
+    /// re-planning or scale-down, for 500 s.
+    fn section_8_7(name: &'static str, state_mb: f64, policy: PolicyConfig) -> ScenarioSpec {
+        let stress = Dynamics::InboundDegrade {
+            stage: Stage::Stateful,
+            at_s: STRESS_AT_S,
+            factor: 0.01,
+        };
+        ScenarioSpec {
+            state_mb: Some(state_mb),
+            policy: PolicyConfig {
+                allow_replan: false,
+                scale_down: false,
+                ..policy
+            },
+            ..ScenarioSpec::new(name, QueryKind::TopK, stress, ControllerKind::Wasp, 500.0)
+        }
+    }
+
+    /// §8.7 migration experiment (Figs. 13–14): the scaffold migrating
+    /// by `variant`. `t_max_s` controls whether large states force
+    /// scale-out + partitioning (§8.7.2).
+    pub fn migration(variant: MigrationVariant, state_mb: f64, t_max_s: f64) -> ScenarioSpec {
+        let policy = PolicyConfig {
+            migration: match variant {
+                // Re-seeded from the run's seed.
+                MigrationVariant::Random => MigrationStrategy::Random(0),
+                MigrationVariant::Distant => MigrationStrategy::Distant,
+                _ => MigrationStrategy::NetworkAware,
+            },
+            skip_state: variant == MigrationVariant::NoMigrate,
+            t_max_s,
+            ..PolicyConfig::default()
+        };
+        ScenarioSpec {
+            label: Label::Fixed(variant.label().to_string()),
+            ..ScenarioSpec::section_8_7("migration", state_mb, policy)
+        }
+    }
+
+    /// Skewed-state migration: the §8.7 scaffold under keyed-state
+    /// model `state`. The stage's state is Zipf-skewed across hash
+    /// partitions, so under [`wasp_state::StateModel::Partitioned`]
+    /// the hot partition dominates but every other key resumes after a
+    /// short slice flight — the p95 per-key downtime drops strictly
+    /// below the coarse whole-blob pause for the *same* re-assignment
+    /// (`t_max` is effectively unbounded so both models pick the
+    /// identical move).
+    pub fn skewed_state(state: wasp_state::StateModel, state_mb: f64) -> ScenarioSpec {
+        let policy = PolicyConfig {
+            t_max_s: 1e9,
+            ..PolicyConfig::default()
+        };
+        let label = if state.is_partitioned() {
+            "Partitioned"
+        } else {
+            "Coarse"
+        };
+        ScenarioSpec {
+            query_label: Some("topk (skewed state)"),
+            state,
+            label: Label::Fixed(label.to_string()),
+            ..ScenarioSpec::section_8_7("skewed_state", state_mb, policy)
+        }
+    }
+
+    /// The skewed-state experiment under partitioned state with runtime
+    /// key-range splitting at [`SKEWED_SPLIT_THRESHOLD`] — the
+    /// "skewed_split" scenario recorded in the BENCH_pr9 baseline.
+    pub fn skewed_split(state_mb: f64) -> ScenarioSpec {
+        let state = wasp_state::StateModel::Partitioned(
+            wasp_state::PartitionConfig::with_split_threshold(SKEWED_SPLIT_THRESHOLD),
+        );
+        ScenarioSpec {
+            name: "skewed_split",
+            query_label: Some("topk (skewed split)"),
+            ..ScenarioSpec::skewed_state(state, state_mb)
+        }
+    }
+
+    /// Checkpoint compaction: a Top-K stage of `state_mb` under
+    /// partitioned state with delta-chain modeling by `policy`,
+    /// checkpointing every 15 s to a remote data center
+    /// ([`Checkpoints::RemoteOffStage`]) so rounds and compaction
+    /// snapshots contend with stream traffic, and three failures of
+    /// the stage's host at t = 150/300/450 (restored after 20 s each).
+    /// No controller adapts, so every failure hits the same host and
+    /// recovery replays the chain as it stood at that moment:
+    ///
+    /// * under [`CompactionPolicy::unbounded`](wasp_state::CompactionPolicy::unbounded)
+    ///   the chain grows for the whole run, so each successive failure
+    ///   replays strictly more;
+    /// * under a bounded policy (e.g. every
+    ///   [`COMPACTION_EVERY_N_ROUNDS`] rounds) the chain is
+    ///   periodically folded into a full snapshot — recovery replays at
+    ///   most the base plus a few rounds, at the cost of visible
+    ///   full-size upload bursts on the checkpoint path.
+    pub fn compaction(policy: wasp_state::CompactionPolicy, state_mb: f64) -> ScenarioSpec {
+        let failures = Dynamics::HostFailures {
+            stage: Stage::Stateful,
+            at_s: vec![150.0, 300.0, 450.0],
+            restore_after_s: 20.0,
+        };
+        let label = match &policy {
+            wasp_state::CompactionPolicy::None => "no-chain".to_string(),
+            wasp_state::CompactionPolicy::Model(c) => c
+                .trigger_label()
+                .unwrap_or_else(|| "unbounded-chain".to_string()),
+        };
+        let spec = ScenarioSpec::new(
+            "compaction",
+            QueryKind::TopK,
+            failures,
+            ControllerKind::NoAdapt,
+            600.0,
+        );
+        ScenarioSpec {
+            query_label: Some("topk (delta chain)"),
+            state_mb: Some(state_mb),
+            state: wasp_state::StateModel::Partitioned(
+                wasp_state::PartitionConfig::with_compaction(policy),
+            ),
+            checkpoint_interval_s: 15.0,
+            checkpoints: Checkpoints::RemoteOffStage,
+            label: Label::Fixed(label),
+            ..spec
+        }
+    }
+
+    /// The host `stage` lands on in this spec's initial deployment.
+    pub fn stage_host(&self, stage: Stage, seed: u64) -> SiteId {
+        let tb = Testbed::paper(seed);
+        let (plan, physical) = self.layout(&tb);
+        physical.placement(stage.op(&plan)).sites()[0]
+    }
+
+    /// The (state-resized) plan and its WAN-aware initial deployment.
+    fn layout(&self, tb: &Testbed) -> (LogicalPlan, PhysicalPlan) {
+        let sink = tb.data_centers()[0];
+        let mut plan = self.query.build_default(tb.edges(), sink);
+        if let Some(mb) = self.state_mb {
+            plan = override_state(plan, mb);
+        }
+        let physical = deploy(&plan, tb);
+        (plan, physical)
+    }
+
+    /// Builds the engine this spec runs on, with the run's telemetry,
+    /// x-ray, metrics hub and control-plane mode attached, plus the
+    /// plan's end-to-end selectivity. [`run`] drives it under the
+    /// spec's controller; experiments that inspect the engine itself
+    /// (checkpoint rounds, final placement) drive it by hand.
+    pub fn deploy(&self, cfg: &ScenarioConfig) -> (Engine, f64) {
+        let tb = Testbed::paper(cfg.seed);
+        let (plan, physical) = self.layout(&tb);
+        let host = |stage: &Stage| physical.placement(stage.op(&plan)).sites()[0];
+        let mut net = tb.static_network();
+        let script = match &self.dynamics {
+            Dynamics::Script(script) => script.clone(),
+            Dynamics::Live { diurnal } => {
+                let mut script = DynamicsScript::section_8_6(tb.edges(), self.horizon_s, cfg.seed);
+                if *diurnal {
+                    let trace = TwitterTrace {
+                        seed: cfg.seed,
+                        ..TwitterTrace::default()
+                    };
+                    for (c, &site) in tb.edges().iter().enumerate() {
+                        let samples: Vec<f64> = (0..60)
+                            .map(|i| trace.diurnal_factor(c, i as f64 * 30.0))
+                            .collect();
+                        script =
+                            script.with_workload(site, FactorSeries::from_samples(30.0, samples));
+                    }
+                }
+                script
+            }
+            Dynamics::InboundDegrade {
+                stage,
+                at_s,
+                factor,
+            } => {
+                let h = host(stage);
+                for site in tb.topology().site_ids() {
+                    if site != h {
+                        net.set_pair_factor(site, h, FactorSeries::steps(1.0, &[(*at_s, *factor)]));
+                    }
+                }
+                DynamicsScript::none()
+            }
+            Dynamics::HostFailures {
+                stage,
+                at_s,
+                restore_after_s,
+            } => at_s.iter().fold(DynamicsScript::none(), |script, &at| {
+                script.with_failure(Failure {
+                    at: SimTime(at),
+                    restore_after: *restore_after_s,
+                    site: Some(host(stage)),
+                })
+            }),
+            Dynamics::Straggler { stage, speed } => {
+                DynamicsScript::none().with_straggler(host(stage), speed.clone())
+            }
+        };
+        let checkpoint_target = match self.checkpoints {
+            Checkpoints::Local => CheckpointTarget::Local,
+            Checkpoints::Remote(site) => CheckpointTarget::Remote(site),
+            Checkpoints::RemoteOffStage => {
+                let h = host(&Stage::Stateful);
+                let dc = tb.data_centers().iter().copied().find(|&s| s != h);
+                CheckpointTarget::Remote(dc.unwrap_or(tb.data_centers()[0]))
+            }
+        };
+        let engine_cfg = EngineConfig {
+            dt: cfg.dt,
+            drop_slo: (self.controller == ControllerKind::Degrade).then_some(cfg.slo_s),
+            state_model: self.state,
+            checkpoint_interval_s: self.checkpoint_interval_s,
+            checkpoint_target,
+            ..EngineConfig::default()
+        };
+        let e2e = plan.end_to_end_selectivity();
+        let mut engine =
+            Engine::new(net, script, plan, physical, engine_cfg).expect("deployment validated");
+        engine.set_telemetry(cfg.telemetry.clone());
+        if let Some(w) = cfg.xray {
+            engine.enable_xray(w);
+        }
+        engine.set_metrics(cfg.metrics.clone());
+        if let ControlPlaneConfig::Lossy(lossy) = &cfg.control {
+            engine.enable_lossy_control(lossy.clone());
+        }
+        (engine, e2e)
+    }
+
+    /// The WASP policy this spec runs under a run seeded `seed`.
+    fn run_policy(&self, seed: u64) -> PolicyConfig {
+        let mut policy = PolicyConfig {
+            state: self.state,
+            ..self.policy.clone()
+        };
+        if let MigrationStrategy::Random(_) = policy.migration {
+            policy.migration = MigrationStrategy::Random(seed);
+        }
+        policy
     }
 }
 
 /// The outcome of one scenario run.
 #[derive(Debug)]
 pub struct ExperimentResult {
-    /// Controller label.
+    /// Variant label ([`ScenarioSpec::label`]).
     pub label: String,
     /// Query name.
     pub query: String,
@@ -205,12 +644,12 @@ pub struct ExperimentResult {
     /// Latency attribution (`Some` only when `ScenarioConfig::xray`
     /// was set).
     pub xray: Option<wasp_xray::XrayRun>,
-    /// 95th-percentile modeled recovery replay (seconds); `Some` only
-    /// for delta-chain scenarios ([`run_compaction_experiment`]).
-    pub replay_p95_s: Option<f64>,
-    /// Total full-snapshot compaction volume (MB); `Some` only for
-    /// delta-chain scenarios.
-    pub compaction_mb: Option<f64>,
+    /// Checkpoint/transfer/compaction/replay timeline (empty under the
+    /// coarse state model).
+    pub timeline: StateTimeline,
+    /// The α in force when the run ended (`None` for the static
+    /// baselines).
+    pub final_alpha: Option<f64>,
 }
 
 impl ExperimentResult {
@@ -218,18 +657,103 @@ impl ExperimentResult {
     pub fn ratio_series(&self, bucket_s: f64) -> Vec<(f64, f64)> {
         self.metrics.ratio_series(bucket_s, self.e2e_selectivity)
     }
+
+    /// Overhead breakdown of the first adaptation, when one happened.
+    pub fn breakdown(&self) -> Option<OverheadBreakdown> {
+        overhead_breakdown(&self.metrics)
+    }
+
+    /// 95th-percentile delay from `from_s` up to the last tick (over
+    /// the whole run when nothing was delivered in that window) — for
+    /// the §8.7 scaffolds, the damage after [`STRESS_AT_S`].
+    pub fn p95_delay_after(&self, from_s: f64) -> f64 {
+        let end = self.metrics.ticks().last().map_or(0.0, |r| r.t);
+        self.metrics
+            .delay_quantile_between(from_s, end, 0.95)
+            .or_else(|| self.metrics.delay_quantile(0.95))
+            .unwrap_or(0.0)
+    }
+
+    /// Cumulative state abandoned (only non-zero when migrations skip
+    /// state).
+    pub fn lost_state_mb(&self) -> f64 {
+        self.metrics.ticks().last().map_or(0.0, |r| r.lost_state_mb)
+    }
+
+    /// 95th-percentile per-key downtime of the migrations, seconds.
+    /// Under `Partitioned` this is the p95 over per-partition pauses
+    /// (each key pauses only while its own slice flies); under
+    /// `Coarse` every key is down for the whole transition, so it is
+    /// the first adaptation's suspension itself.
+    pub fn downtime_p95_s(&self) -> f64 {
+        let coarse_pause = self.breakdown().map_or(0.0, |b| b.transition_s);
+        self.timeline
+            .downtime_quantile(0.95)
+            .unwrap_or(coarse_pause)
+    }
+
+    /// 95th-percentile modeled recovery replay over the failures,
+    /// seconds (0 when no failure replayed a delta chain).
+    pub fn replay_p95_s(&self) -> f64 {
+        self.timeline.replay_quantile(0.95).unwrap_or(0.0)
+    }
+
+    /// Total full-snapshot volume the compactions uploaded, MB.
+    pub fn compaction_mb(&self) -> f64 {
+        self.timeline.total_compaction_mb()
+    }
 }
 
-fn engine_config(cfg: &ScenarioConfig, controller: ControllerKind) -> EngineConfig {
-    EngineConfig {
-        dt: cfg.dt,
-        drop_slo: match controller {
-            ControllerKind::Degrade => Some(cfg.slo_s),
-            _ => None,
-        },
-        state_model: cfg.state,
-        ..EngineConfig::default()
+/// Runs `spec` as `cfg` drives and observes it: deploys it, runs it
+/// under its controller for the horizon, and collects the recording.
+pub fn run(spec: &ScenarioSpec, cfg: &ScenarioConfig) -> ExperimentResult {
+    let (mut engine, e2e_selectivity) = spec.deploy(cfg);
+    let tel = &cfg.telemetry;
+    let root = if tel.is_enabled() {
+        let name = format!(
+            "scenario:{} {} [{}] seed={}",
+            spec.name,
+            spec.query.name(),
+            spec.controller.label(),
+            cfg.seed
+        );
+        tel.span_begin(0.0, &name)
+    } else {
+        None
+    };
+    let mut ctrl = spec
+        .controller
+        .instantiate(spec.run_policy(cfg.seed), spec.adaptive_alpha, cfg);
+    run_controlled(
+        &mut engine,
+        ctrl.as_mut(),
+        spec.horizon_s,
+        cfg.monitor_interval_s,
+    );
+    tel.span_end(engine.now().secs(), root);
+    let final_alpha = ctrl.alpha();
+    let label = match &spec.label {
+        Label::Controller => spec.controller.label().to_string(),
+        Label::FinalAlpha => format!("WASP(α={:.2})", final_alpha.unwrap_or(f64::NAN)),
+        Label::Fixed(label) => label.clone(),
+    };
+    ExperimentResult {
+        label,
+        query: spec.query_label.unwrap_or(spec.query.name()).to_string(),
+        xray: engine.take_xray(),
+        timeline: engine.state_timeline().clone(),
+        metrics: engine.into_metrics(),
+        e2e_selectivity,
+        final_alpha,
     }
+}
+
+/// WAN-aware initial deployment on the paper testbed's static network,
+/// falling back to everything at the sink.
+fn deploy(plan: &LogicalPlan, tb: &Testbed) -> PhysicalPlan {
+    let sink = tb.data_centers()[0];
+    initial_deployment(plan, &tb.static_network(), 0.8)
+        .unwrap_or_else(|_| PhysicalPlan::initial(plan, sink))
 }
 
 /// Builds a query engine on the paper testbed: sources at the 8 edge
@@ -240,227 +764,12 @@ pub fn build_engine(
     script: DynamicsScript,
     engine_cfg: EngineConfig,
 ) -> (Engine, f64) {
-    let sink = tb.data_centers()[0];
-    let plan = kind.build_default(tb.edges(), sink);
-    let net = tb.static_network();
-    let physical =
-        initial_deployment(&plan, &net, 0.8).unwrap_or_else(|_| PhysicalPlan::initial(&plan, sink));
+    let plan = kind.build_default(tb.edges(), tb.data_centers()[0]);
+    let physical = deploy(&plan, tb);
     let e2e = plan.end_to_end_selectivity();
-    let engine =
-        Engine::new(net, script, plan, physical, engine_cfg).expect("deployment validated");
+    let engine = Engine::new(tb.static_network(), script, plan, physical, engine_cfg)
+        .expect("deployment validated");
     (engine, e2e)
-}
-
-fn run_scenario(
-    section: &str,
-    kind: QueryKind,
-    script: DynamicsScript,
-    controller: ControllerKind,
-    duration_s: f64,
-    cfg: &ScenarioConfig,
-) -> ExperimentResult {
-    let tb = Testbed::paper(cfg.seed);
-    let (mut engine, e2e) = build_engine(kind, &tb, script, engine_config(cfg, controller));
-    let tel = cfg.telemetry.clone();
-    engine.set_telemetry(tel.clone());
-    if let Some(w) = cfg.xray {
-        engine.enable_xray(w);
-    }
-    engine.set_metrics(cfg.metrics.clone());
-    if let ControlPlaneConfig::Lossy(lossy) = &cfg.control {
-        engine.enable_lossy_control(lossy.clone());
-    }
-    let root = if tel.is_enabled() {
-        let name = format!(
-            "scenario:{section} {} [{}] seed={}",
-            kind.name(),
-            controller.label(),
-            cfg.seed
-        );
-        tel.span_begin(0.0, &name)
-    } else {
-        None
-    };
-    let mut ctrl =
-        controller.instantiate_control(cfg.slo_s, tel.clone(), cfg.metrics.clone(), &cfg.control);
-    run_controlled(
-        &mut engine,
-        ctrl.as_mut(),
-        duration_s,
-        cfg.monitor_interval_s,
-    );
-    tel.span_end(engine.now().secs(), root);
-    let xray = engine.take_xray();
-    ExperimentResult {
-        label: controller.label().to_string(),
-        query: kind.name().to_string(),
-        metrics: engine.into_metrics(),
-        e2e_selectivity: e2e,
-        xray,
-        replay_p95_s: None,
-        compaction_mb: None,
-    }
-}
-
-/// §8.4 (Figs. 8–9): workload 10k→20k→10k ev/s at t = 300/600,
-/// bandwidth ×0.5 at t = 900 restored at t = 1200; 1500 s total.
-pub fn run_section_8_4(
-    kind: QueryKind,
-    controller: ControllerKind,
-    cfg: &ScenarioConfig,
-) -> ExperimentResult {
-    run_scenario(
-        "section_8_4",
-        kind,
-        DynamicsScript::section_8_4(),
-        controller,
-        1500.0,
-        cfg,
-    )
-}
-
-/// §8.5 (Fig. 10): Top-K under workload ×{1,2,2,1,1} and bandwidth
-/// ×{1,1,0.5,0.5,1} per 300 s interval; 1500 s total.
-pub fn run_section_8_5(controller: ControllerKind, cfg: &ScenarioConfig) -> ExperimentResult {
-    run_scenario(
-        "section_8_5",
-        QueryKind::TopK,
-        DynamicsScript::section_8_5(),
-        controller,
-        1500.0,
-        cfg,
-    )
-}
-
-/// §8.6 (Figs. 11–12): the live trace-driven environment — per-source
-/// workload walks in [0.8, 2.4] combined with the Twitter diurnal
-/// pattern, an all-link bandwidth walk in [0.51, 2.36], and a full
-/// failure at t = 540 restored after 60 s; 1800 s total.
-pub fn run_section_8_6(controller: ControllerKind, cfg: &ScenarioConfig) -> ExperimentResult {
-    let tb = Testbed::paper(cfg.seed);
-    let mut script = DynamicsScript::section_8_6(tb.edges(), 1800.0, cfg.seed);
-    // Layer the Twitter trace's diurnal variation on top of the walks.
-    let trace = TwitterTrace {
-        seed: cfg.seed,
-        ..TwitterTrace::default()
-    };
-    for (c, &site) in tb.edges().iter().enumerate() {
-        let samples: Vec<f64> = (0..60)
-            .map(|i| trace.diurnal_factor(c, i as f64 * 30.0))
-            .collect();
-        script = script.with_workload(site, FactorSeries::from_samples(30.0, samples));
-    }
-    run_scenario(
-        "section_8_6",
-        QueryKind::TopK,
-        script,
-        controller,
-        1800.0,
-        cfg,
-    )
-}
-
-/// A fully parameterized scenario run, used by the ablation studies
-/// (α, monitoring interval, checkpoint interval, adaptive α).
-#[derive(Debug, Clone)]
-pub struct CustomRun {
-    /// Query under test.
-    pub kind: QueryKind,
-    /// Dynamics script.
-    pub script: DynamicsScript,
-    /// Run length, seconds.
-    pub duration_s: f64,
-    /// Policy configuration (α, t_max, technique flags, …).
-    pub policy: PolicyConfig,
-    /// Enable the automatic α tuner.
-    pub adaptive_alpha: bool,
-    /// Checkpoint interval override.
-    pub checkpoint_interval_s: f64,
-    /// Monitoring interval override.
-    pub monitor_interval_s: f64,
-    /// Checkpoint destination (local storage per §5, or a rendezvous
-    /// site).
-    pub checkpoint_target: wasp_streamsim::engine::CheckpointTarget,
-}
-
-impl CustomRun {
-    /// The §8.4 run under full WASP with default knobs.
-    pub fn section_8_4(kind: QueryKind) -> CustomRun {
-        CustomRun {
-            kind,
-            script: DynamicsScript::section_8_4(),
-            duration_s: 1500.0,
-            policy: PolicyConfig::default(),
-            adaptive_alpha: false,
-            checkpoint_interval_s: 30.0,
-            monitor_interval_s: 40.0,
-            checkpoint_target: wasp_streamsim::engine::CheckpointTarget::Local,
-        }
-    }
-
-    /// The §8.6 live run under full WASP with default knobs.
-    pub fn section_8_6(seed: u64) -> CustomRun {
-        let tb = Testbed::paper(seed);
-        CustomRun {
-            kind: QueryKind::TopK,
-            script: DynamicsScript::section_8_6(tb.edges(), 1800.0, seed),
-            duration_s: 1800.0,
-            policy: PolicyConfig::default(),
-            adaptive_alpha: false,
-            checkpoint_interval_s: 30.0,
-            monitor_interval_s: 40.0,
-            checkpoint_target: wasp_streamsim::engine::CheckpointTarget::Local,
-        }
-    }
-}
-
-/// Runs a [`CustomRun`] under the WASP controller and returns the
-/// recording plus the final α in force (interesting when the tuner is
-/// enabled).
-pub fn run_custom(run: CustomRun, cfg: &ScenarioConfig) -> (ExperimentResult, f64) {
-    let tb = Testbed::paper(cfg.seed);
-    let engine_cfg = EngineConfig {
-        dt: cfg.dt,
-        checkpoint_interval_s: run.checkpoint_interval_s,
-        checkpoint_target: run.checkpoint_target,
-        ..EngineConfig::default()
-    };
-    let (mut engine, e2e) = build_engine(run.kind, &tb, run.script, engine_cfg);
-    engine.set_telemetry(cfg.telemetry.clone());
-    if let Some(w) = cfg.xray {
-        engine.enable_xray(w);
-    }
-    engine.set_metrics(cfg.metrics.clone());
-    if let ControlPlaneConfig::Lossy(lossy) = &cfg.control {
-        engine.enable_lossy_control(lossy.clone());
-    }
-    let mut ctrl = WaspController::new(run.policy)
-        .with_telemetry(cfg.telemetry.clone())
-        .with_metrics(cfg.metrics.clone())
-        .with_control_plane(cfg.control.clone());
-    if run.adaptive_alpha {
-        ctrl = ctrl.with_adaptive_alpha();
-    }
-    wasp_core::controller::run_controlled(
-        &mut engine,
-        &mut ctrl,
-        run.duration_s,
-        run.monitor_interval_s,
-    );
-    let final_alpha = ctrl.current_alpha();
-    let xray = engine.take_xray();
-    (
-        ExperimentResult {
-            label: format!("WASP(α={:.2})", final_alpha),
-            query: run.kind.name().to_string(),
-            metrics: engine.into_metrics(),
-            e2e_selectivity: e2e,
-            xray,
-            replay_p95_s: None,
-            compaction_mb: None,
-        },
-        final_alpha,
-    )
 }
 
 /// Breakdown of one adaptation's overhead (§8.7): transition time
@@ -484,9 +793,37 @@ impl OverheadBreakdown {
     }
 }
 
+/// The stabilization rule shared by [`overhead_breakdown`] and
+/// [`recovery_times`]: the first tick after `after` from which the
+/// per-tick mean delay stays under `max(2·steady, steady + 2)` for 5
+/// consecutive seconds of delivering ticks, where `steady` is the
+/// median delay before `onset` (1 s when nothing was delivered).
+/// Censored at `run_end` — or at the start of a streak still running
+/// there — when the execution never re-stabilizes.
+fn stabilized_at(metrics: &RunMetrics, onset: f64, after: f64, run_end: f64) -> f64 {
+    let steady = metrics
+        .delay_quantile_between(0.0, onset.max(1.0), 0.5)
+        .unwrap_or(1.0);
+    let threshold = (steady * 2.0).max(steady + 2.0);
+    let mut streak_start: Option<f64> = None;
+    for row in metrics.ticks().iter().filter(|r| r.t > after) {
+        match row.mean_delay {
+            Some(d) if d <= threshold => {
+                let s = *streak_start.get_or_insert(row.t);
+                if row.t - s >= 5.0 {
+                    return s;
+                }
+            }
+            Some(_) => streak_start = None,
+            None => {}
+        }
+    }
+    streak_start.unwrap_or(run_end)
+}
+
 /// Extracts the first adaptation's overhead breakdown from a
-/// recording. `steady_delay` is the pre-adaptation delay level used to
-/// decide when the execution has stabilized.
+/// recording; the pre-adaptation delay level decides when the
+/// execution has stabilized.
 pub fn overhead_breakdown(metrics: &RunMetrics) -> Option<OverheadBreakdown> {
     let start = metrics
         .actions()
@@ -499,32 +836,8 @@ pub fn overhead_breakdown(metrics: &RunMetrics) -> Option<OverheadBreakdown> {
         .find(|(t, l)| l == "transition-end" && *t >= start)
         .map(|&(t, _)| t)
         .unwrap_or(start);
-    // Steady delay: median over the window before the adaptation.
-    let steady = metrics
-        .delay_quantile_between(0.0, start.max(1.0), 0.5)
-        .unwrap_or(1.0);
-    let threshold = (steady * 2.0).max(steady + 2.0);
-    // First time after resumption where the delay is back to normal
-    // and stays there for 5 consecutive seconds of delivering ticks.
-    let mut stable_at = None;
-    let mut streak_start: Option<f64> = None;
-    for row in metrics.ticks().iter().filter(|r| r.t > end) {
-        match row.mean_delay {
-            Some(d) if d <= threshold => {
-                let s = *streak_start.get_or_insert(row.t);
-                if row.t - s >= 5.0 {
-                    stable_at = Some(s);
-                    break;
-                }
-            }
-            Some(_) => streak_start = None,
-            None => {}
-        }
-    }
-    // Censor at the end of the recording when the execution never
-    // re-stabilized within the run.
     let run_end = metrics.ticks().last().map(|r| r.t).unwrap_or(end);
-    let stable_at = stable_at.or(streak_start).unwrap_or(run_end);
+    let stable_at = stabilized_at(metrics, start, end, run_end);
     Some(OverheadBreakdown {
         start_s: start,
         transition_s: end - start,
@@ -553,381 +866,8 @@ pub fn recovery_times(metrics: &RunMetrics) -> Vec<(f64, f64)> {
     let run_end = metrics.ticks().last().map(|r| r.t).unwrap_or(0.0);
     failures
         .into_iter()
-        .map(|f| {
-            let steady = metrics
-                .delay_quantile_between(0.0, f.max(1.0), 0.5)
-                .unwrap_or(1.0);
-            let threshold = (steady * 2.0).max(steady + 2.0);
-            let mut stable_at = None;
-            let mut streak_start: Option<f64> = None;
-            for row in metrics.ticks().iter().filter(|r| r.t > f) {
-                match row.mean_delay {
-                    Some(d) if d <= threshold => {
-                        let s = *streak_start.get_or_insert(row.t);
-                        if row.t - s >= 5.0 {
-                            stable_at = Some(s);
-                            break;
-                        }
-                    }
-                    Some(_) => streak_start = None,
-                    None => {}
-                }
-            }
-            let stable_at = stable_at.or(streak_start).unwrap_or(run_end);
-            (f, (stable_at - f).max(0.0))
-        })
+        .map(|f| (f, (stabilized_at(metrics, f, f, run_end) - f).max(0.0)))
         .collect()
-}
-
-/// How §8.7 experiments migrate state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum MigrationVariant {
-    /// WASP's network-aware min-max mapping.
-    Wasp,
-    /// Ignore bandwidth: random mapping.
-    Random,
-    /// Worst-case mapping (slowest links).
-    Distant,
-    /// Do not migrate state at all (loses accuracy).
-    NoMigrate,
-}
-
-impl MigrationVariant {
-    /// Display label (Fig. 13).
-    pub fn label(&self) -> &'static str {
-        match self {
-            MigrationVariant::Wasp => "WASP",
-            MigrationVariant::Random => "Random",
-            MigrationVariant::Distant => "Distant",
-            MigrationVariant::NoMigrate => "No Migrate",
-        }
-    }
-}
-
-/// Result of a §8.7 migration experiment.
-#[derive(Debug)]
-pub struct MigrationResult {
-    /// Variant label.
-    pub label: String,
-    /// Full recording.
-    pub metrics: RunMetrics,
-    /// Overhead breakdown of the adaptation.
-    pub breakdown: Option<OverheadBreakdown>,
-    /// 95th-percentile delay over the adaptation-affected window.
-    pub p95_delay: f64,
-    /// Cumulative state abandoned (only non-zero for `NoMigrate`).
-    pub lost_state_mb: f64,
-}
-
-/// §8.7 common scaffold: a stateful Top-K-style query whose windowed
-/// stage holds `state_mb` of state; at `t = 150` the links from the
-/// upstream sites into the stage's host degrade sharply, so the
-/// monitor (interval 40 s → next round ≈ t = 160–180) must move the
-/// stage. `t_max` controls whether large states force scale-out +
-/// partitioning (§8.7.2).
-pub fn run_migration_experiment(
-    variant: MigrationVariant,
-    state_mb: f64,
-    t_max_s: f64,
-    cfg: &ScenarioConfig,
-) -> MigrationResult {
-    let tb = Testbed::paper(cfg.seed);
-    let sink = tb.data_centers()[0];
-    let mut plan = QueryKind::TopK.build_default(tb.edges(), sink);
-    // Override the stateful stage's size to the experiment's value.
-    plan = override_state(plan, state_mb);
-    let net0 = tb.static_network();
-    let physical = initial_deployment(&plan, &net0, 0.8)
-        .unwrap_or_else(|_| PhysicalPlan::initial(&plan, sink));
-    // Find the stateful stage's host and degrade its inbound links
-    // from the upstream union/map sites (and from the edges) at t=150.
-    let stateful_op = plan.stateful_ops()[0];
-    let host = physical.placement(stateful_op).sites()[0];
-    let mut net = tb.static_network();
-    for site in net0.topology().site_ids() {
-        if site != host {
-            net.set_pair_factor(site, host, FactorSeries::steps(1.0, &[(150.0, 0.01)]));
-        }
-    }
-    let _e2e = plan.end_to_end_selectivity();
-    let engine_cfg = EngineConfig {
-        dt: cfg.dt,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(net, DynamicsScript::none(), plan, physical, engine_cfg)
-        .expect("validated deployment");
-    let policy = PolicyConfig {
-        migration: match variant {
-            MigrationVariant::Random => MigrationStrategy::Random(cfg.seed),
-            MigrationVariant::Distant => MigrationStrategy::Distant,
-            _ => MigrationStrategy::NetworkAware,
-        },
-        skip_state: variant == MigrationVariant::NoMigrate,
-        t_max_s,
-        allow_replan: false,
-        scale_down: false,
-        ..PolicyConfig::default()
-    };
-    let mut ctrl = WaspController::new(policy);
-    run_controlled(&mut engine, &mut ctrl, 500.0, cfg.monitor_interval_s);
-    let metrics = engine.into_metrics();
-    let breakdown = overhead_breakdown(&metrics);
-    // 95th-percentile delay over the adaptation-affected window (the
-    // degradation hits at t = 150; Fig. 14a measures the damage).
-    let p95 = metrics
-        .delay_quantile_between(150.0, 500.0, 0.95)
-        .or_else(|| metrics.delay_quantile(0.95))
-        .unwrap_or(0.0);
-    let lost = metrics
-        .ticks()
-        .last()
-        .map(|r| r.lost_state_mb)
-        .unwrap_or(0.0);
-    MigrationResult {
-        label: variant.label().to_string(),
-        metrics,
-        breakdown,
-        p95_delay: p95,
-        lost_state_mb: lost,
-    }
-}
-
-/// Result of a skewed-state (§8.7-style) experiment.
-#[derive(Debug)]
-pub struct SkewedStateResult {
-    /// `"Coarse"` or `"Partitioned"`.
-    pub label: String,
-    /// Full recording.
-    pub metrics: RunMetrics,
-    /// Checkpoint/transfer timeline (empty under the coarse model).
-    pub timeline: wasp_state::timeline::StateTimeline,
-    /// Overhead breakdown of the adaptation, when one happened.
-    pub breakdown: Option<OverheadBreakdown>,
-    /// The plan's end-to-end selectivity (delivered per generated
-    /// event when nothing is lost).
-    pub e2e_selectivity: f64,
-    /// 95th-percentile per-key downtime of the migration, seconds.
-    /// Under `Partitioned` this is the p95 over per-partition pauses
-    /// (each key pauses only while its own slice flies); under
-    /// `Coarse` every key is down for the whole transition, so it is
-    /// the suspension duration itself.
-    pub downtime_p95_s: f64,
-    /// Latency-attribution snapshot when [`ScenarioConfig::xray`] is set.
-    pub xray: Option<wasp_xray::XrayRun>,
-}
-
-/// Skewed-state migration experiment: the §8.7 scaffold (stateful
-/// Top-K stage, inbound links to its host degraded ×0.01 at t = 150,
-/// monitor forced to move the stage) run under a chosen keyed-state
-/// model. The stage's state is Zipf-skewed across hash partitions, so
-/// under [`wasp_state::StateModel::Partitioned`] the hot partition
-/// dominates but every other key resumes after a short slice flight —
-/// the measured p95 per-key downtime drops strictly below the coarse
-/// whole-blob pause for the *same* re-assignment (`t_max` is left
-/// effectively unbounded so both models pick the identical move).
-pub fn run_skewed_state_experiment(
-    state: wasp_state::StateModel,
-    state_mb: f64,
-    cfg: &ScenarioConfig,
-) -> SkewedStateResult {
-    let tb = Testbed::paper(cfg.seed);
-    let sink = tb.data_centers()[0];
-    let mut plan = QueryKind::TopK.build_default(tb.edges(), sink);
-    plan = override_state(plan, state_mb);
-    let e2e_selectivity = plan.end_to_end_selectivity();
-    let net0 = tb.static_network();
-    let physical = initial_deployment(&plan, &net0, 0.8)
-        .unwrap_or_else(|_| PhysicalPlan::initial(&plan, sink));
-    let stateful_op = plan.stateful_ops()[0];
-    let host = physical.placement(stateful_op).sites()[0];
-    let mut net = tb.static_network();
-    for site in net0.topology().site_ids() {
-        if site != host {
-            net.set_pair_factor(site, host, FactorSeries::steps(1.0, &[(150.0, 0.01)]));
-        }
-    }
-    let engine_cfg = EngineConfig {
-        dt: cfg.dt,
-        state_model: state,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(net, DynamicsScript::none(), plan, physical, engine_cfg)
-        .expect("validated deployment");
-    engine.set_telemetry(cfg.telemetry.clone());
-    if let Some(w) = cfg.xray {
-        engine.enable_xray(w);
-    }
-    engine.set_metrics(cfg.metrics.clone());
-    let policy = PolicyConfig {
-        // Both models must accept the same move: gate effectively off.
-        t_max_s: 1e9,
-        allow_replan: false,
-        scale_down: false,
-        state,
-        ..PolicyConfig::default()
-    };
-    let mut ctrl = WaspController::new(policy);
-    run_controlled(&mut engine, &mut ctrl, 500.0, cfg.monitor_interval_s);
-    let timeline = engine.state_timeline().clone();
-    let xray = engine.take_xray();
-    let metrics = engine.into_metrics();
-    let breakdown = overhead_breakdown(&metrics);
-    let coarse_pause = breakdown.map(|b| b.transition_s).unwrap_or(0.0);
-    let downtime_p95_s = timeline.downtime_quantile(0.95).unwrap_or(coarse_pause);
-    SkewedStateResult {
-        label: if state.is_partitioned() {
-            "Partitioned".to_string()
-        } else {
-            "Coarse".to_string()
-        },
-        metrics,
-        timeline,
-        breakdown,
-        e2e_selectivity,
-        downtime_p95_s,
-        xray,
-    }
-}
-
-/// Canonical split threshold of the skewed-split scenario (the bench
-/// baseline row, the report quickstart, and the differential suite all
-/// use it): the default 16-partition Zipf head weighs ~0.30, so 0.15
-/// forces two splits of the head and halves the worst migration slice.
-pub const SKEWED_SPLIT_THRESHOLD: f64 = 0.15;
-
-/// The skewed-state experiment under partitioned state with runtime
-/// key-range splitting at [`SKEWED_SPLIT_THRESHOLD`] — the
-/// "skewed_split" scenario recorded in the BENCH_pr9 baseline.
-pub fn run_skewed_split_experiment(state_mb: f64, cfg: &ScenarioConfig) -> SkewedStateResult {
-    run_skewed_state_experiment(
-        wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig::with_split_threshold(
-            SKEWED_SPLIT_THRESHOLD,
-        )),
-        state_mb,
-        cfg,
-    )
-}
-
-/// Canonical compaction cadence of the compaction scenario (the
-/// BENCH_pr10 baseline row and the differential suite use it): a full
-/// snapshot every 4 delta rounds keeps recovery replay near one
-/// snapshot's worth while the unbounded arm accrues every round since
-/// t = 0.
-pub const COMPACTION_EVERY_N_ROUNDS: u32 = 4;
-
-/// Result of one arm of the checkpoint-compaction experiment.
-#[derive(Debug)]
-pub struct CompactionRunResult {
-    /// `"every-4-rounds"` / `"unbounded-chain"` style arm label.
-    pub label: String,
-    /// Full recording.
-    pub metrics: RunMetrics,
-    /// Checkpoint/compaction/replay timeline.
-    pub timeline: wasp_state::timeline::StateTimeline,
-    /// The plan's end-to-end selectivity (delivered per generated
-    /// event when nothing is lost).
-    pub e2e_selectivity: f64,
-    /// 95th-percentile modeled recovery replay over the scripted
-    /// failures, seconds (0 when no failure hit the stage).
-    pub replay_p95_s: f64,
-    /// Total full-snapshot volume the compactions uploaded.
-    pub compaction_mb: f64,
-    /// Latency-attribution snapshot when [`ScenarioConfig::xray`] is
-    /// set.
-    pub xray: Option<wasp_xray::XrayRun>,
-}
-
-/// Checkpoint-compaction experiment: a stateful Top-K stage under
-/// partitioned state with delta-chain modeling, *remote* checkpointing
-/// (rounds and compaction snapshots travel the WAN and contend with
-/// stream traffic), and three scripted failures of the stage's host at
-/// t = 150/300/450 (restored after 20 s each). No controller
-/// adaptation runs, so every failure hits the same host and recovery
-/// replays the chain as it stood at that moment:
-///
-/// * under [`CompactionPolicy::unbounded`](wasp_state::CompactionPolicy::unbounded) the chain grows for the
-///   whole run, so each successive failure replays strictly more;
-/// * under a bounded policy (e.g. every
-///   [`COMPACTION_EVERY_N_ROUNDS`] rounds) the chain is periodically
-///   folded into a full snapshot — recovery replays at most the base
-///   plus a few rounds, at the cost of visible full-size upload
-///   bursts on the checkpoint path.
-///
-/// The acceptance test pins the headline inequality: bounded-arm
-/// replay p95 strictly below the unbounded arm's.
-pub fn run_compaction_experiment(
-    policy: wasp_state::CompactionPolicy,
-    state_mb: f64,
-    cfg: &ScenarioConfig,
-) -> CompactionRunResult {
-    let tb = Testbed::paper(cfg.seed);
-    let sink = tb.data_centers()[0];
-    let mut plan = QueryKind::TopK.build_default(tb.edges(), sink);
-    plan = override_state(plan, state_mb);
-    let e2e_selectivity = plan.end_to_end_selectivity();
-    let net = tb.static_network();
-    let physical =
-        initial_deployment(&plan, &net, 0.8).unwrap_or_else(|_| PhysicalPlan::initial(&plan, sink));
-    let stateful_op = plan.stateful_ops()[0];
-    let host = physical.placement(stateful_op).sites()[0];
-    // Snapshots rendezvous at a data center that is not the stage's
-    // host, so checkpoint rounds and compaction bursts are real WAN
-    // flights.
-    let target = tb
-        .data_centers()
-        .iter()
-        .copied()
-        .find(|&s| s != host)
-        .unwrap_or(sink);
-    let mut script = DynamicsScript::none();
-    for at in [150.0, 300.0, 450.0] {
-        script = script.with_failure(wasp_netsim::dynamics::Failure {
-            at: wasp_netsim::units::SimTime(at),
-            restore_after: 20.0,
-            site: Some(host),
-        });
-    }
-    let state =
-        wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig::with_compaction(policy));
-    let engine_cfg = EngineConfig {
-        dt: cfg.dt,
-        state_model: state,
-        checkpoint_interval_s: 15.0,
-        checkpoint_target: wasp_streamsim::engine::CheckpointTarget::Remote(target),
-        ..EngineConfig::default()
-    };
-    let mut engine =
-        Engine::new(net, script, plan, physical, engine_cfg).expect("validated deployment");
-    engine.set_telemetry(cfg.telemetry.clone());
-    if let Some(w) = cfg.xray {
-        engine.enable_xray(w);
-    }
-    engine.set_metrics(cfg.metrics.clone());
-    // No adaptation: the stage stays on its host, so every scripted
-    // failure replays the chain the checkpoint path built up.
-    let mut ctrl = NoAdaptController;
-    run_controlled(&mut engine, &mut ctrl, 600.0, cfg.monitor_interval_s);
-    let timeline = engine.state_timeline().clone();
-    let xray = engine.take_xray();
-    let metrics = engine.into_metrics();
-    let replay_p95_s = timeline.replay_quantile(0.95).unwrap_or(0.0);
-    let compaction_mb = timeline.total_compaction_mb();
-    let label = match &policy {
-        wasp_state::CompactionPolicy::None => "no-chain".to_string(),
-        wasp_state::CompactionPolicy::Model(c) => match c.trigger_label() {
-            Some(l) => l,
-            None => "unbounded-chain".to_string(),
-        },
-    };
-    CompactionRunResult {
-        label,
-        metrics,
-        timeline,
-        e2e_selectivity,
-        replay_p95_s,
-        compaction_mb,
-        xray,
-    }
 }
 
 /// Rebuilds a plan with its (single) fixed-state stage resized.
@@ -960,6 +900,24 @@ mod tests {
         }
     }
 
+    fn migration(variant: MigrationVariant) -> ExperimentResult {
+        run(
+            &ScenarioSpec::migration(variant, 60.0, f64::INFINITY),
+            &quick_cfg(),
+        )
+    }
+
+    fn skewed(state: wasp_state::StateModel) -> ExperimentResult {
+        run(&ScenarioSpec::skewed_state(state, 60.0), &quick_cfg())
+    }
+
+    fn bounded_compaction() -> ScenarioSpec {
+        ScenarioSpec::compaction(
+            wasp_state::CompactionPolicy::every_n_rounds(COMPACTION_EVERY_N_ROUNDS),
+            48.0,
+        )
+    }
+
     #[test]
     fn build_engine_deploys_all_queries() {
         let tb = Testbed::paper(1);
@@ -984,14 +942,10 @@ mod tests {
             dt: 0.25,
             ..ScenarioConfig::default()
         };
-        let split = run_skewed_split_experiment(60.0, &cfg);
+        let split = run(&ScenarioSpec::skewed_split(60.0), &cfg);
         let ratio = delivered_ratio(&split.metrics, split.e2e_selectivity);
         assert!(ratio > 0.9 && ratio <= 1.01, "skewed split: {ratio}");
-        let compaction = run_compaction_experiment(
-            wasp_state::CompactionPolicy::every_n_rounds(COMPACTION_EVERY_N_ROUNDS),
-            48.0,
-            &cfg,
-        );
+        let compaction = run(&bounded_compaction(), &cfg);
         let ratio = delivered_ratio(&compaction.metrics, compaction.e2e_selectivity);
         assert!(ratio > 0.9 && ratio <= 1.01, "compaction: {ratio}");
     }
@@ -1004,6 +958,18 @@ mod tests {
         let op = resized.stateful_ops()[0];
         assert_eq!(resized.op(op).state(), StateModel::Fixed(MegaBytes(256.0)));
         assert_eq!(resized.len(), plan.len());
+    }
+
+    #[test]
+    fn spec_state_and_run_seed_reach_the_policy() {
+        let state = wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig::default());
+        let spec = ScenarioSpec {
+            state,
+            ..ScenarioSpec::section_8_4(QueryKind::TopK, ControllerKind::Wasp)
+        };
+        assert_eq!(spec.run_policy(4).state, state);
+        let random = ScenarioSpec::migration(MigrationVariant::Random, 60.0, f64::INFINITY);
+        assert_eq!(random.run_policy(7).migration, MigrationStrategy::Random(7));
     }
 
     #[test]
@@ -1035,7 +1001,10 @@ mod tests {
             }),
             ..ScenarioConfig::default()
         };
-        let res = run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, &cfg);
+        let res = run(
+            &ScenarioSpec::section_8_4(QueryKind::TopK, ControllerKind::Wasp),
+            &cfg,
+        );
         assert!(res.metrics.total_delivered() > 0.0);
         let rec = handle.recording();
         let enqueued = rec
@@ -1071,31 +1040,28 @@ mod tests {
 
     #[test]
     fn migration_experiment_adapts_and_reports_breakdown() {
-        let res =
-            run_migration_experiment(MigrationVariant::Wasp, 60.0, f64::INFINITY, &quick_cfg());
-        let b = res.breakdown.expect("an adaptation must happen");
+        let res = migration(MigrationVariant::Wasp);
+        let b = res.breakdown().expect("an adaptation must happen");
         assert!(
             b.start_s > 150.0 && b.start_s < 300.0,
             "start {}",
             b.start_s
         );
         assert!(b.transition_s > 0.0, "breakdown {b:?}");
-        assert_eq!(res.lost_state_mb, 0.0);
+        assert_eq!(res.lost_state_mb(), 0.0);
     }
 
     #[test]
     fn no_migrate_loses_state_but_transitions_fast() {
-        let wasp =
-            run_migration_experiment(MigrationVariant::Wasp, 60.0, f64::INFINITY, &quick_cfg());
-        let nomig = run_migration_experiment(
-            MigrationVariant::NoMigrate,
-            60.0,
-            f64::INFINITY,
-            &quick_cfg(),
+        let wasp = migration(MigrationVariant::Wasp);
+        let nomig = migration(MigrationVariant::NoMigrate);
+        assert!(
+            nomig.lost_state_mb() >= 60.0,
+            "lost {}",
+            nomig.lost_state_mb()
         );
-        assert!(nomig.lost_state_mb >= 60.0, "lost {}", nomig.lost_state_mb);
-        let bw = wasp.breakdown.unwrap();
-        let bn = nomig.breakdown.unwrap();
+        let bw = wasp.breakdown().unwrap();
+        let bn = nomig.breakdown().unwrap();
         assert!(
             bn.transition_s < bw.transition_s,
             "no-migrate {bn:?} vs wasp {bw:?}"
@@ -1104,17 +1070,14 @@ mod tests {
 
     #[test]
     fn partitioned_state_slashes_per_key_downtime() {
-        let coarse =
-            run_skewed_state_experiment(wasp_state::StateModel::Coarse, 60.0, &quick_cfg());
-        let part = run_skewed_state_experiment(
-            wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig::default()),
-            60.0,
-            &quick_cfg(),
-        );
+        let coarse = skewed(wasp_state::StateModel::Coarse);
+        let part = skewed(wasp_state::StateModel::Partitioned(
+            wasp_state::PartitionConfig::default(),
+        ));
         // Same re-assignment: both models adapt, at the same monitor
         // round (the `t_max` gate is effectively off in this scaffold).
-        let bc = coarse.breakdown.expect("coarse run must adapt");
-        let bp = part.breakdown.expect("partitioned run must adapt");
+        let bc = coarse.breakdown().expect("coarse run must adapt");
+        let bp = part.breakdown().expect("partitioned run must adapt");
         assert!(
             (bc.start_s - bp.start_s).abs() < 1e-9,
             "coarse {bc:?} vs partitioned {bp:?}"
@@ -1134,25 +1097,22 @@ mod tests {
             .any(|c| c.delta_mb < c.full_mb));
         // The headline §5 claim (acceptance criterion): p95 per-key
         // downtime strictly below the coarse whole-blob pause.
-        assert!(coarse.downtime_p95_s > 0.0, "coarse {coarse:?}");
+        assert!(coarse.downtime_p95_s() > 0.0, "coarse {coarse:?}");
         assert!(
-            part.downtime_p95_s < coarse.downtime_p95_s,
+            part.downtime_p95_s() < coarse.downtime_p95_s(),
             "partitioned p95 {} must beat coarse {}",
-            part.downtime_p95_s,
-            coarse.downtime_p95_s
+            part.downtime_p95_s(),
+            coarse.downtime_p95_s()
         );
     }
 
     #[test]
     fn splitting_hot_partitions_tightens_the_downtime_chain() {
-        let coarse =
-            run_skewed_state_experiment(wasp_state::StateModel::Coarse, 60.0, &quick_cfg());
-        let flat = run_skewed_state_experiment(
-            wasp_state::StateModel::Partitioned(wasp_state::PartitionConfig::default()),
-            60.0,
-            &quick_cfg(),
-        );
-        let split = run_skewed_split_experiment(60.0, &quick_cfg());
+        let coarse = skewed(wasp_state::StateModel::Coarse);
+        let flat = skewed(wasp_state::StateModel::Partitioned(
+            wasp_state::PartitionConfig::default(),
+        ));
+        let split = run(&ScenarioSpec::skewed_split(60.0), &quick_cfg());
         // Only the split-enabled run records split events; the flat
         // partitioned run keeps its PR 8 timeline shape untouched.
         assert!(flat.timeline.splits.is_empty());
@@ -1166,25 +1126,25 @@ mod tests {
         }
         // All three adapt at the same monitor round, so the downtime
         // chain compares like with like.
-        let b0 = coarse.breakdown.expect("coarse run must adapt");
-        let b1 = flat.breakdown.expect("flat run must adapt");
-        let b2 = split.breakdown.expect("split run must adapt");
+        let b0 = coarse.breakdown().expect("coarse run must adapt");
+        let b1 = flat.breakdown().expect("flat run must adapt");
+        let b2 = split.breakdown().expect("split run must adapt");
         assert!((b0.start_s - b1.start_s).abs() < 1e-9, "{b0:?} vs {b1:?}");
         assert!((b1.start_s - b2.start_s).abs() < 1e-9, "{b1:?} vs {b2:?}");
         // The §5 acceptance chain, extended: splitting the Zipf head
         // bounds the worst slice, so per-key p95 downtime drops again —
         // split < flat < coarse, all strict.
         assert!(
-            split.downtime_p95_s < flat.downtime_p95_s,
+            split.downtime_p95_s() < flat.downtime_p95_s(),
             "split p95 {} must beat flat p95 {}",
-            split.downtime_p95_s,
-            flat.downtime_p95_s
+            split.downtime_p95_s(),
+            flat.downtime_p95_s()
         );
         assert!(
-            flat.downtime_p95_s < coarse.downtime_p95_s,
+            flat.downtime_p95_s() < coarse.downtime_p95_s(),
             "flat p95 {} must beat coarse {}",
-            flat.downtime_p95_s,
-            coarse.downtime_p95_s
+            flat.downtime_p95_s(),
+            coarse.downtime_p95_s()
         );
         // The worst per-key pause is also no worse than flat's.
         let worst_split = split.timeline.downtime_quantile(1.0).unwrap();
@@ -1197,14 +1157,9 @@ mod tests {
 
     #[test]
     fn compaction_bounds_recovery_replay() {
-        let bounded = run_compaction_experiment(
-            wasp_state::CompactionPolicy::every_n_rounds(COMPACTION_EVERY_N_ROUNDS),
-            48.0,
-            &quick_cfg(),
-        );
-        let unbounded = run_compaction_experiment(
-            wasp_state::CompactionPolicy::unbounded(),
-            48.0,
+        let bounded = run(&bounded_compaction(), &quick_cfg());
+        let unbounded = run(
+            &ScenarioSpec::compaction(wasp_state::CompactionPolicy::unbounded(), 48.0),
             &quick_cfg(),
         );
         // Both arms saw the same three scripted failures and modeled a
@@ -1223,10 +1178,10 @@ mod tests {
         // The headline acceptance inequality: compaction-enabled
         // recovery p95 strictly below the unbounded-chain p95.
         assert!(
-            bounded.replay_p95_s < unbounded.replay_p95_s,
+            bounded.replay_p95_s() < unbounded.replay_p95_s(),
             "bounded p95 {} must beat unbounded p95 {}",
-            bounded.replay_p95_s,
-            unbounded.replay_p95_s
+            bounded.replay_p95_s(),
+            unbounded.replay_p95_s()
         );
         // The burst is visible: compactions happened, each one's
         // full-snapshot upload completed as a real WAN flight…
@@ -1246,11 +1201,12 @@ mod tests {
             assert_eq!(c.chain_rounds, COMPACTION_EVERY_N_ROUNDS, "{c:?}");
         }
         assert!(
-            (bounded.compaction_mb - 48.0 * bounded.timeline.compactions.len() as f64).abs() < 1e-6
+            (bounded.compaction_mb() - 48.0 * bounded.timeline.compactions.len() as f64).abs()
+                < 1e-6
         );
         // The control arm never compacts.
         assert!(unbounded.timeline.compactions.is_empty());
-        assert_eq!(unbounded.compaction_mb, 0.0);
+        assert_eq!(unbounded.compaction_mb(), 0.0);
         // Bounded recovery stays near one snapshot's worth: base is
         // always the last full snapshot and the chain at failure time
         // is shorter than the cadence.

@@ -22,7 +22,7 @@ fn main() {
         ControllerKind::Degrade,
         ControllerKind::Wasp,
     ] {
-        let res = run_section_8_6(ctrl, &cfg);
+        let res = run(&ScenarioSpec::section_8_6(ctrl), &cfg);
         let m = &res.metrics;
         println!(
             "{:<9} kept {:>5.1}% of events | mean delay {:>7.1}s | p99 {:>7.1}s",

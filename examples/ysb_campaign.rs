@@ -46,7 +46,10 @@ fn main() {
     println!("\nrunning the §8.4 dynamics on the 16-node testbed…");
     let cfg = ScenarioConfig::default();
     for ctrl in [ControllerKind::NoAdapt, ControllerKind::Wasp] {
-        let res = run_section_8_4(QueryKind::Advertising, ctrl, &cfg);
+        let res = run(
+            &ScenarioSpec::section_8_4(QueryKind::Advertising, ctrl),
+            &cfg,
+        );
         let m = &res.metrics;
         println!(
             "\n{}: mean delay {:.1}s, p99 {:.1}s, delivered {:.1}%",

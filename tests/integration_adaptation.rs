@@ -23,9 +23,18 @@ fn late_delay(res: &ExperimentResult, from: f64, to: f64) -> f64 {
 #[test]
 fn section_8_4_no_adapt_suffers_wasp_recovers_degrade_drops() {
     for kind in QueryKind::ALL {
-        let noadapt = run_section_8_4(kind, ControllerKind::NoAdapt, &cfg());
-        let degrade = run_section_8_4(kind, ControllerKind::Degrade, &cfg());
-        let wasp = run_section_8_4(kind, ControllerKind::Wasp, &cfg());
+        let noadapt = run(
+            &ScenarioSpec::section_8_4(kind, ControllerKind::NoAdapt),
+            &cfg(),
+        );
+        let degrade = run(
+            &ScenarioSpec::section_8_4(kind, ControllerKind::Degrade),
+            &cfg(),
+        );
+        let wasp = run(
+            &ScenarioSpec::section_8_4(kind, ControllerKind::Wasp),
+            &cfg(),
+        );
 
         // No Adapt: delay grows by over an order of magnitude during
         // the constrained phases; no events dropped.
@@ -116,8 +125,14 @@ fn section_8_4_no_adapt_suffers_wasp_recovers_degrade_drops() {
 
 #[test]
 fn section_8_4_wasp_beats_baselines_on_quality_and_delay() {
-    let degrade = run_section_8_4(QueryKind::TopK, ControllerKind::Degrade, &cfg());
-    let wasp = run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, &cfg());
+    let degrade = run(
+        &ScenarioSpec::section_8_4(QueryKind::TopK, ControllerKind::Degrade),
+        &cfg(),
+    );
+    let wasp = run(
+        &ScenarioSpec::section_8_4(QueryKind::TopK, ControllerKind::Wasp),
+        &cfg(),
+    );
     // Same delay class as Degrade…
     let d95 = wasp
         .metrics
@@ -131,10 +146,19 @@ fn section_8_4_wasp_beats_baselines_on_quality_and_delay() {
 
 #[test]
 fn section_8_5_scale_wins_and_replan_crosses_reassign() {
-    let noadapt = run_section_8_5(ControllerKind::NoAdapt, &cfg());
-    let reassign = run_section_8_5(ControllerKind::ReassignOnly, &cfg());
-    let scale = run_section_8_5(ControllerKind::ScaleOnly, &cfg());
-    let replan = run_section_8_5(ControllerKind::ReplanOnly, &cfg());
+    let noadapt = run(&ScenarioSpec::section_8_5(ControllerKind::NoAdapt), &cfg());
+    let reassign = run(
+        &ScenarioSpec::section_8_5(ControllerKind::ReassignOnly),
+        &cfg(),
+    );
+    let scale = run(
+        &ScenarioSpec::section_8_5(ControllerKind::ScaleOnly),
+        &cfg(),
+    );
+    let replan = run(
+        &ScenarioSpec::section_8_5(ControllerKind::ReplanOnly),
+        &cfg(),
+    );
 
     let p = |r: &ExperimentResult, q: f64| r.metrics.delay_quantile(q).unwrap_or(f64::INFINITY);
 

@@ -9,9 +9,13 @@ fn cfg() -> ScenarioConfig {
     }
 }
 
+fn migration(variant: MigrationVariant, state_mb: f64, t_max_s: f64) -> ExperimentResult {
+    run(&ScenarioSpec::migration(variant, state_mb, t_max_s), &cfg())
+}
+
 #[test]
 fn live_run_wasp_survives_failure_without_loss() {
-    let wasp = run_section_8_6(ControllerKind::Wasp, &cfg());
+    let wasp = run(&ScenarioSpec::section_8_6(ControllerKind::Wasp), &cfg());
     let m = &wasp.metrics;
     // Nothing dropped despite failure + dynamics.
     assert_eq!(m.total_dropped(), 0.0);
@@ -37,9 +41,9 @@ fn live_run_wasp_survives_failure_without_loss() {
 
 #[test]
 fn live_run_baselines_show_the_tradeoff() {
-    let noadapt = run_section_8_6(ControllerKind::NoAdapt, &cfg());
-    let degrade = run_section_8_6(ControllerKind::Degrade, &cfg());
-    let wasp = run_section_8_6(ControllerKind::Wasp, &cfg());
+    let noadapt = run(&ScenarioSpec::section_8_6(ControllerKind::NoAdapt), &cfg());
+    let degrade = run(&ScenarioSpec::section_8_6(ControllerKind::Degrade), &cfg());
+    let wasp = run(&ScenarioSpec::section_8_6(ControllerKind::Wasp), &cfg());
     // No Adapt accumulates enormous delays after the failure.
     let na = noadapt
         .metrics
@@ -74,24 +78,24 @@ fn live_run_baselines_show_the_tradeoff() {
 
 #[test]
 fn migration_strategies_order_as_in_fig13() {
-    let wasp = run_migration_experiment(MigrationVariant::Wasp, 60.0, f64::INFINITY, &cfg());
-    let distant = run_migration_experiment(MigrationVariant::Distant, 60.0, f64::INFINITY, &cfg());
-    let nomig = run_migration_experiment(MigrationVariant::NoMigrate, 60.0, f64::INFINITY, &cfg());
+    let wasp = migration(MigrationVariant::Wasp, 60.0, f64::INFINITY);
+    let distant = migration(MigrationVariant::Distant, 60.0, f64::INFINITY);
+    let nomig = migration(MigrationVariant::NoMigrate, 60.0, f64::INFINITY);
 
-    let bw = wasp.breakdown.expect("WASP adapts");
-    let bd = distant.breakdown.expect("Distant adapts");
-    let bn = nomig.breakdown.expect("NoMigrate adapts");
+    let bw = wasp.breakdown().expect("WASP adapts");
+    let bd = distant.breakdown().expect("Distant adapts");
+    let bn = nomig.breakdown().expect("NoMigrate adapts");
     // No Migrate has (near) zero state-transfer time but abandons
     // state.
     assert!(bn.transition_s <= bw.transition_s);
-    assert!(nomig.lost_state_mb >= 60.0);
-    assert_eq!(wasp.lost_state_mb, 0.0);
+    assert!(nomig.lost_state_mb() >= 60.0);
+    assert_eq!(wasp.lost_state_mb(), 0.0);
     // Network-aware migration beats the distant strawman decisively.
     assert!(
         bd.transition_s > 2.0 * bw.transition_s,
         "distant {bd:?} vs wasp {bw:?}"
     );
-    assert!(distant.p95_delay > wasp.p95_delay);
+    assert!(distant.p95_delay_after(STRESS_AT_S) > wasp.p95_delay_after(STRESS_AT_S));
 }
 
 #[test]
@@ -99,23 +103,25 @@ fn state_partitioning_reduces_overhead_for_large_state() {
     // §8.7.2: for large state, forcing scale-out + partitioning when
     // the estimated transition exceeds the threshold cuts the overall
     // overhead. (Threshold per wasp-bench::FIG14_T_MAX_S.)
-    let default = run_migration_experiment(MigrationVariant::Wasp, 256.0, f64::INFINITY, &cfg());
-    let partitioned = run_migration_experiment(MigrationVariant::Wasp, 256.0, 10.0, &cfg());
-    let bd = default.breakdown.expect("adapts");
-    let bp = partitioned.breakdown.expect("adapts");
+    let default = migration(MigrationVariant::Wasp, 256.0, f64::INFINITY);
+    let partitioned = migration(MigrationVariant::Wasp, 256.0, 10.0);
+    let bd = default.breakdown().expect("adapts");
+    let bp = partitioned.breakdown().expect("adapts");
     assert!(
         bp.total_s() < bd.total_s(),
         "partitioned {bp:?} vs default {bd:?}"
     );
-    assert!(partitioned.p95_delay <= default.p95_delay + 1e-9);
+    assert!(
+        partitioned.p95_delay_after(STRESS_AT_S) <= default.p95_delay_after(STRESS_AT_S) + 1e-9
+    );
 }
 
 #[test]
 fn small_state_is_unaffected_by_partitioning() {
-    let default = run_migration_experiment(MigrationVariant::Wasp, 32.0, f64::INFINITY, &cfg());
-    let partitioned = run_migration_experiment(MigrationVariant::Wasp, 32.0, 10.0, &cfg());
-    let bd = default.breakdown.expect("adapts");
-    let bp = partitioned.breakdown.expect("adapts");
+    let default = migration(MigrationVariant::Wasp, 32.0, f64::INFINITY);
+    let partitioned = migration(MigrationVariant::Wasp, 32.0, 10.0);
+    let bd = default.breakdown().expect("adapts");
+    let bp = partitioned.breakdown().expect("adapts");
     // Below the threshold both behave identically.
     assert!((bd.transition_s - bp.transition_s).abs() < 1.0);
 }
@@ -124,8 +130,8 @@ fn small_state_is_unaffected_by_partitioning() {
 fn migration_overhead_grows_with_state_size() {
     let mut prev_total = 0.0;
     for mb in [0.0, 128.0, 512.0] {
-        let res = run_migration_experiment(MigrationVariant::Wasp, mb, f64::INFINITY, &cfg());
-        let b = res.breakdown.expect("adapts");
+        let res = migration(MigrationVariant::Wasp, mb, f64::INFINITY);
+        let b = res.breakdown().expect("adapts");
         assert!(
             b.transition_s + 1e-9 >= prev_total,
             "{mb} MB transition {} < previous {prev_total}",

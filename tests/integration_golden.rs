@@ -16,10 +16,7 @@
 use wasp_state::CompactionPolicy;
 use wasp_streamsim::metrics::RunMetrics;
 use wasp_workloads::queries::QueryKind;
-use wasp_workloads::scenarios::{
-    run_compaction_experiment, run_section_8_4, run_section_8_5, run_section_8_6,
-    run_skewed_split_experiment, ControllerKind, ScenarioConfig,
-};
+use wasp_workloads::scenarios::{run, ControllerKind, ScenarioConfig, ScenarioSpec};
 
 /// 64-bit FNV-1a over `bytes`.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -53,37 +50,46 @@ fn assert_digest(case: &str, metrics: &RunMetrics, expected: u64) {
 
 #[test]
 fn section_8_4_topk_output_is_pinned() {
-    let r = run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, &cfg());
+    let r = run(
+        &ScenarioSpec::section_8_4(QueryKind::TopK, ControllerKind::Wasp),
+        &cfg(),
+    );
     assert_digest("§8.4 Top-K", &r.metrics, 0x0cdf_0f0a_2af3_e389);
 }
 
 #[test]
 fn section_8_4_ysb_output_is_pinned() {
-    let r = run_section_8_4(QueryKind::Advertising, ControllerKind::Wasp, &cfg());
+    let r = run(
+        &ScenarioSpec::section_8_4(QueryKind::Advertising, ControllerKind::Wasp),
+        &cfg(),
+    );
     assert_digest("§8.4 YSB", &r.metrics, 0x9187_16ab_171a_b686);
 }
 
 #[test]
 fn section_8_5_output_is_pinned() {
-    let r = run_section_8_5(ControllerKind::Wasp, &cfg());
+    let r = run(&ScenarioSpec::section_8_5(ControllerKind::Wasp), &cfg());
     assert_digest("§8.5", &r.metrics, 0xbe43_71b8_dcbf_8c9c);
 }
 
 #[test]
 fn section_8_6_output_is_pinned() {
-    let r = run_section_8_6(ControllerKind::Wasp, &cfg());
+    let r = run(&ScenarioSpec::section_8_6(ControllerKind::Wasp), &cfg());
     assert_digest("§8.6", &r.metrics, 0xbef1_2071_575e_09f3);
 }
 
 #[test]
 fn skewed_split_output_is_pinned() {
-    let r = run_skewed_split_experiment(60.0, &cfg());
+    let r = run(&ScenarioSpec::skewed_split(60.0), &cfg());
     assert_digest("skewed split (60 MB)", &r.metrics, 0x52ca_2248_7e20_2717);
 }
 
 #[test]
 fn compaction_output_is_pinned() {
-    let r = run_compaction_experiment(CompactionPolicy::every_n_rounds(4), 48.0, &cfg());
+    let r = run(
+        &ScenarioSpec::compaction(CompactionPolicy::every_n_rounds(4), 48.0),
+        &cfg(),
+    );
     assert_digest(
         "compaction (every 4 rounds, 48 MB)",
         &r.metrics,

@@ -26,7 +26,7 @@ use wasp_metrics::MetricsHub;
 use wasp_telemetry::Telemetry;
 use wasp_workloads::queries::QueryKind;
 use wasp_workloads::scenarios::{
-    run_section_8_4, run_section_8_6, ControllerKind, ExperimentResult, ScenarioConfig,
+    run, ControllerKind, ExperimentResult, ScenarioConfig, ScenarioSpec,
 };
 
 /// 64-bit FNV-1a over `bytes`.
@@ -99,7 +99,7 @@ fn check(case: &str, run: impl FnOnce(&ScenarioConfig) -> ExperimentResult, want
 fn section_8_6_observed_output_is_pinned() {
     check(
         "§8.6",
-        |cfg| run_section_8_6(ControllerKind::Wasp, cfg),
+        |cfg| run(&ScenarioSpec::section_8_6(ControllerKind::Wasp), cfg),
         Golden {
             metrics: 0xbef1_2071_575e_09f3,
             xray: 0x049f_e733_8a86_c4e4,
@@ -113,7 +113,12 @@ fn section_8_6_observed_output_is_pinned() {
 fn section_8_4_topk_observed_output_is_pinned() {
     check(
         "§8.4 Top-K",
-        |cfg| run_section_8_4(QueryKind::TopK, ControllerKind::Wasp, cfg),
+        |cfg| {
+            run(
+                &ScenarioSpec::section_8_4(QueryKind::TopK, ControllerKind::Wasp),
+                cfg,
+            )
+        },
         Golden {
             metrics: 0x0cdf_0f0a_2af3_e389,
             xray: 0x0b66_c88d_d7f7_875f,

@@ -17,7 +17,10 @@ fn record_8_4(seed: u64) -> Recording {
         telemetry: tel,
         ..ScenarioConfig::default()
     };
-    run_section_8_4(QueryKind::Advertising, ControllerKind::Wasp, &cfg);
+    run(
+        &ScenarioSpec::section_8_4(QueryKind::Advertising, ControllerKind::Wasp),
+        &cfg,
+    );
     rec.recording()
 }
 
@@ -130,7 +133,10 @@ fn prometheus_exposition_is_well_formed() {
         xray: Some(XRAY_DEFAULT_WINDOW_S),
         ..ScenarioConfig::default()
     };
-    run_section_8_4(QueryKind::Advertising, ControllerKind::Wasp, &cfg);
+    run(
+        &ScenarioSpec::section_8_4(QueryKind::Advertising, ControllerKind::Wasp),
+        &cfg,
+    );
     let text = hub.render_prometheus();
     assert!(!text.is_empty());
 
