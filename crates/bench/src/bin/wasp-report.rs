@@ -19,7 +19,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: wasp-report --scenario <section_8_4|section_8_5|section_8_6|skewed_state|compaction> \
          [--seed N] [--query <advertising|topk|events>] \
-         [--controller <wasp|reassign|scale|replan>] \
+         [--controller <wasp|reassign|scale|replan|noadapt|degrade>] \
          [--dt SECS] [--control <oracle|lossy>] [--loss F] [--heartbeat SECS] \
          [--phi F] [--delay-factor F] [--state <coarse|partitioned>] [--partitions N] \
          [--zipf F] [--split-threshold F] [--state-mb F] [--compact-every N] \
@@ -28,6 +28,19 @@ fn usage() -> ! {
     );
     std::process::exit(2);
 }
+
+/// Flags that only some scenarios read, with those scenarios. Giving
+/// one to any other scenario is a usage error rather than a silently
+/// ignored flag.
+const SCENARIO_FLAGS: [(&str, &[&str]); 4] = [
+    ("--query", &["section_8_4"]),
+    (
+        "--controller",
+        &["section_8_4", "section_8_5", "section_8_6"],
+    ),
+    ("--state-mb", &["skewed_state", "compaction"]),
+    ("--compact-every", &["compaction"]),
+];
 
 /// Writes a report artifact, exiting with a diagnostic instead of a
 /// panic backtrace when the path is not writable.
@@ -506,6 +519,8 @@ fn main() {
     let mut pcfg = wasp_state::PartitionConfig::default();
     let mut state_mb = 60.0f64;
     let mut compact_every = COMPACTION_EVERY_N_ROUNDS;
+    // Flags that only some scenarios read, as given on the command line.
+    let mut given: Vec<&'static str> = Vec::new();
 
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -560,6 +575,7 @@ fn main() {
                     .unwrap_or_else(|| usage())
             }
             "--query" => {
+                given.push("--query");
                 query = match it.next().as_deref() {
                     Some("advertising") | Some("ysb") => QueryKind::Advertising,
                     Some("topk") => QueryKind::TopK,
@@ -568,6 +584,7 @@ fn main() {
                 }
             }
             "--controller" => {
+                given.push("--controller");
                 controller = match it.next().as_deref() {
                     Some("wasp") => ControllerKind::Wasp,
                     Some("reassign") => ControllerKind::ReassignOnly,
@@ -611,6 +628,7 @@ fn main() {
                 )
             }
             "--state-mb" => {
+                given.push("--state-mb");
                 state_mb = it
                     .next()
                     .and_then(|v| v.parse().ok())
@@ -619,6 +637,7 @@ fn main() {
             // Compaction round-count trigger for --scenario compaction;
             // 0 runs the unbounded-chain control arm.
             "--compact-every" => {
+                given.push("--compact-every");
                 compact_every = it
                     .next()
                     .and_then(|v| v.parse().ok())
@@ -650,6 +669,15 @@ fn main() {
         }
     }
     let scenario = scenario.unwrap_or_else(|| usage());
+    for (flag, scenarios) in SCENARIO_FLAGS {
+        if given.contains(&flag) && !scenarios.contains(&scenario.as_str()) {
+            eprintln!(
+                "error: {flag} does not apply to --scenario {scenario} (only to {})",
+                scenarios.join(", ")
+            );
+            usage();
+        }
+    }
     if lossy {
         // The control channel draws from its own RNG stream, but keyed
         // off the scenario seed so --seed N reproduces everything.

@@ -7,6 +7,13 @@
 //! are FIFO sequences of cohorts, so queueing delay, drop decisions,
 //! and end-to-end latency distributions remain exact at fluid
 //! granularity.
+//!
+//! X-ray latency attribution travels *beside* the cohorts, not in
+//! them: every [`CohortQueue`] and [`CohortBatch`] owns a ledger lane
+//! of [`DelayLedger`]s. The lane is empty while x-ray is off, so a
+//! cohort moves 24 bytes and queue operations do no ledger work; with
+//! x-ray on it is index-aligned with the cohorts and every operation
+//! applies the same ledger arithmetic to it.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -14,6 +21,8 @@ use wasp_netsim::units::SimTime;
 use wasp_xray::DelayLedger;
 
 /// A group of events born (at the external source) at the same time.
+/// Its x-ray ledger, when attribution is on, sits in the lane of the
+/// queue or batch holding it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Cohort {
     /// Generation time at the external source.
@@ -24,10 +33,6 @@ pub struct Cohort {
     /// (added on top of queueing/processing delay, which the clock
     /// captures).
     pub net_latency: f64,
-    /// Per-component delay attribution (stamped only when the engine
-    /// runs with xray enabled; stays at its birth value otherwise, so
-    /// merges below are no-ops on it).
-    pub xray: DelayLedger,
 }
 
 impl Cohort {
@@ -37,7 +42,6 @@ impl Cohort {
             birth,
             count,
             net_latency: 0.0,
-            xray: DelayLedger::new(birth.secs()),
         }
     }
 
@@ -46,6 +50,86 @@ impl Cohort {
     /// propagation latency).
     pub fn delay_at(&self, now: SimTime) -> f64 {
         (now - self.birth) + self.net_latency
+    }
+}
+
+/// Cohorts moving between queues, with their ledger lane.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CohortBatch {
+    /// The cohorts, oldest first.
+    pub(crate) cohorts: Vec<Cohort>,
+    /// Ledger lane: empty while x-ray is off, otherwise `ledgers[i]`
+    /// is the ledger of `cohorts[i]`.
+    pub(crate) ledgers: Vec<DelayLedger>,
+}
+
+impl CohortBatch {
+    /// An empty batch.
+    pub fn new() -> CohortBatch {
+        CohortBatch::default()
+    }
+
+    /// The cohorts, oldest first.
+    pub fn cohorts(&self) -> &[Cohort] {
+        &self.cohorts
+    }
+
+    /// The ledger lane: empty while x-ray is off, otherwise one ledger
+    /// per cohort.
+    pub fn ledgers(&self) -> &[DelayLedger] {
+        &self.ledgers
+    }
+
+    /// Number of cohorts.
+    pub fn len(&self) -> usize {
+        self.cohorts.len()
+    }
+
+    /// True if the batch holds no cohort.
+    pub fn is_empty(&self) -> bool {
+        self.cohorts.is_empty()
+    }
+
+    /// Appends a cohort and, when the lane is live, its ledger. Unlike
+    /// [`CohortQueue::push`] this neither merges nor filters.
+    pub fn push(&mut self, c: Cohort, ledger: Option<&DelayLedger>) {
+        self.cohorts.push(c);
+        if let Some(l) = ledger {
+            self.ledgers.push(*l);
+        }
+    }
+
+    /// Moves every cohort of `other` to the end of this batch, leaving
+    /// `other` empty with its capacity.
+    pub fn append(&mut self, other: &mut CohortBatch) {
+        self.cohorts.append(&mut other.cohorts);
+        self.ledgers.append(&mut other.ledgers);
+    }
+
+    /// Empties the batch, keeping its capacity for reuse.
+    pub fn clear(&mut self) {
+        self.cohorts.clear();
+        self.ledgers.clear();
+    }
+
+    /// Each cohort with its ledger (`None` while the lane is off).
+    pub fn iter(&self) -> impl Iterator<Item = (&Cohort, Option<&DelayLedger>)> + '_ {
+        self.cohorts
+            .iter()
+            .enumerate()
+            .map(move |(i, c)| (c, self.ledgers.get(i)))
+    }
+
+    /// Each cohort with its count scaled by `factor` (an operator's
+    /// selectivity, or a placement share), skipping the ones that scale
+    /// to nothing, with its ledger.
+    pub fn scaled(&self, factor: f64) -> impl Iterator<Item = (Cohort, Option<&DelayLedger>)> + '_ {
+        self.iter()
+            .filter(move |(c, _)| c.count * factor > 0.0)
+            .map(move |(c, l)| {
+                let count = c.count * factor;
+                (Cohort { count, ..*c }, l)
+            })
     }
 }
 
@@ -58,17 +142,20 @@ impl Cohort {
 /// use wasp_netsim::units::SimTime;
 ///
 /// let mut q = CohortQueue::new();
-/// q.push(Cohort::new(SimTime(0.0), 100.0));
-/// q.push(Cohort::new(SimTime(1.0), 100.0));
+/// q.push(Cohort::new(SimTime(0.0), 100.0), None);
+/// q.push(Cohort::new(SimTime(1.0), 100.0), None);
 /// let taken = q.take(150.0);
 /// assert_eq!(taken.len(), 2);
-/// assert_eq!(taken[0].count, 100.0);
-/// assert_eq!(taken[1].count, 50.0);
+/// assert_eq!(taken.cohorts()[0].count, 100.0);
+/// assert_eq!(taken.cohorts()[1].count, 50.0);
 /// assert!((q.len_events() - 50.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CohortQueue {
     cohorts: VecDeque<Cohort>,
+    /// Ledger lane: empty while x-ray is off, otherwise index-aligned
+    /// with `cohorts`.
+    ledgers: VecDeque<DelayLedger>,
     total: f64,
 }
 
@@ -105,8 +192,10 @@ impl CohortQueue {
         self.cohorts.front().map(|c| c.birth)
     }
 
-    /// Appends a cohort (merging with the tail when compatible).
-    pub fn push(&mut self, c: Cohort) {
+    /// Appends a cohort with its ledger (`None` while x-ray is off),
+    /// merging with the tail when compatible.
+    #[inline]
+    pub fn push(&mut self, c: Cohort, ledger: Option<&DelayLedger>) {
         if c.count <= 0.0 {
             return;
         }
@@ -116,39 +205,59 @@ impl CohortQueue {
                 && (back.net_latency - c.net_latency).abs() < MERGE_EPS
             {
                 // Count-weighted ledger mean keeps attribution
-                // conserved; with xray off both ledgers are identical
-                // birth-fresh values and the mean is a no-op.
-                let (wa, wb) = (back.count, c.count);
-                back.xray.merge_weighted(wa, &c.xray, wb);
+                // conserved; with the lane off there is no ledger and
+                // the merge does no ledger work at all.
+                if let Some(l) = ledger {
+                    if let Some(back_l) = self.ledgers.back_mut() {
+                        back_l.merge_weighted(back.count, l, c.count);
+                    }
+                }
                 back.count += c.count;
                 return;
             }
         }
         self.cohorts.push_back(c);
+        if let Some(l) = ledger {
+            self.ledgers.push_back(*l);
+        }
         if self.cohorts.len() > MAX_COHORTS {
             self.coalesce_oldest();
         }
     }
 
-    /// Appends many cohorts.
-    pub fn push_all(&mut self, cs: impl IntoIterator<Item = Cohort>) {
-        for c in cs {
-            self.push(c);
+    /// Appends every cohort of `batch`.
+    pub fn push_all(&mut self, batch: &CohortBatch) {
+        for (i, c) in batch.cohorts.iter().enumerate() {
+            self.push(*c, batch.ledgers.get(i));
+        }
+    }
+
+    /// Appends `batch` with every count scaled by `factor`: the same as
+    /// pushing [`CohortBatch::scaled`] one by one.
+    pub fn push_scaled(&mut self, batch: &CohortBatch, factor: f64) {
+        for (i, c) in batch.cohorts.iter().enumerate() {
+            let count = c.count * factor;
+            if count > 0.0 {
+                self.push(Cohort { count, ..*c }, batch.ledgers.get(i));
+            }
         }
     }
 
     /// Removes up to `n` events from the front, FIFO, splitting the
     /// boundary cohort as needed. Returns the removed cohorts.
-    pub fn take(&mut self, n: f64) -> Vec<Cohort> {
-        let mut out = Vec::new();
+    pub fn take(&mut self, n: f64) -> CohortBatch {
+        let mut out = CohortBatch::new();
         self.take_into(n, &mut out);
         out
     }
 
     /// [`CohortQueue::take`] appending the removed cohorts to `out`,
-    /// so hot loops can reuse one buffer.
-    pub fn take_into(&mut self, n: f64, out: &mut Vec<Cohort>) {
+    /// so hot loops can reuse one buffer. A split boundary cohort
+    /// leaves a copy of its ledger on both sides.
+    pub fn take_into(&mut self, n: f64, out: &mut CohortBatch) {
         let mut remaining = n.max(0.0);
+        let mut whole = 0;
+        let mut split = false;
         while remaining > 1e-12 {
             let Some(front) = self.cohorts.front_mut() else {
                 break;
@@ -156,16 +265,31 @@ impl CohortQueue {
             if front.count <= remaining + 1e-12 {
                 remaining -= front.count;
                 self.total -= front.count;
-                out.push(*front);
+                out.cohorts.push(*front);
                 self.cohorts.pop_front();
+                whole += 1;
             } else {
                 front.count -= remaining;
                 self.total -= remaining;
-                let mut taken = *front;
-                taken.count = remaining;
-                out.push(taken);
+                out.cohorts.push(Cohort {
+                    count: remaining,
+                    ..*front
+                });
+                split = true;
                 remaining = 0.0;
             }
+        }
+        if !self.ledgers.is_empty() {
+            // The lane moves in bulk: the whole cohorts' ledgers, then
+            // a copy of the split one's, which stays queued too.
+            let (front, back) = self.ledgers.as_slices();
+            let from_front = whole.min(front.len());
+            out.ledgers.extend_from_slice(&front[..from_front]);
+            out.ledgers.extend_from_slice(&back[..whole - from_front]);
+            if split {
+                out.ledgers.push(self.ledgers[whole]);
+            }
+            self.ledgers.drain(..whole);
         }
         if self.cohorts.is_empty() {
             self.total = 0.0; // absorb float dust
@@ -173,16 +297,34 @@ impl CohortQueue {
     }
 
     /// Removes *all* events.
-    pub fn drain(&mut self) -> Vec<Cohort> {
+    pub fn drain(&mut self) -> CohortBatch {
         self.total = 0.0;
-        self.cohorts.drain(..).collect()
+        CohortBatch {
+            cohorts: self.cohorts.drain(..).collect(),
+            ledgers: self.ledgers.drain(..).collect(),
+        }
     }
 
     /// Discards every queued event (including float dust), keeping
-    /// the buffer's capacity for reuse.
+    /// the buffers' capacity for reuse.
     pub fn clear(&mut self) {
         self.cohorts.clear();
+        self.ledgers.clear();
         self.total = 0.0;
+    }
+
+    /// Makes the ledger lane live on a queue filled while x-ray was
+    /// off: each queued cohort gets the birth-fresh ledger it would
+    /// have carried. A no-op when the lane is already live or the
+    /// queue is empty.
+    pub fn fill_lane(&mut self) {
+        if self.ledgers.is_empty() {
+            self.ledgers.extend(
+                self.cohorts
+                    .iter()
+                    .map(|c| DelayLedger::new(c.birth.secs())),
+            );
+        }
     }
 
     /// Drops every cohort whose delay at `now` already exceeds
@@ -195,6 +337,7 @@ impl CohortQueue {
                 dropped += front.count;
                 self.total -= front.count;
                 self.cohorts.pop_front();
+                self.ledgers.pop_front();
             } else {
                 break;
             }
@@ -205,53 +348,29 @@ impl CohortQueue {
         dropped
     }
 
-    /// Scales every cohort's count by `factor` (used when an operator
-    /// with selectivity σ emits its processed events).
-    pub fn scaled(cohorts: &[Cohort], factor: f64) -> Vec<Cohort> {
-        Self::scaled_iter(cohorts, factor).collect()
-    }
-
-    /// Appends `cohorts` scaled by `factor`: the same as
-    /// `push_all(CohortQueue::scaled(cohorts, factor))` without the
-    /// intermediate vector.
-    pub fn push_scaled(&mut self, cohorts: &[Cohort], factor: f64) {
-        for c in Self::scaled_iter(cohorts, factor) {
-            self.push(c);
-        }
-    }
-
-    fn scaled_iter(cohorts: &[Cohort], factor: f64) -> impl Iterator<Item = Cohort> + '_ {
-        cohorts
-            .iter()
-            .filter(move |c| c.count * factor > 0.0)
-            .map(move |c| Cohort {
-                birth: c.birth,
-                count: c.count * factor,
-                net_latency: c.net_latency,
-                xray: c.xray,
-            })
-    }
-
-    /// Merges the oldest half of the queue pairwise, preserving total
-    /// count and count-weighted mean birth/latency.
+    /// Merges the oldest half of the queue pairwise, in place,
+    /// preserving total count and count-weighted mean birth, latency
+    /// and ledger.
     fn coalesce_oldest(&mut self) {
-        let merge_n = self.cohorts.len() / 2;
-        let mut merged: Vec<Cohort> = Vec::with_capacity(merge_n / 2 + 1);
-        for _ in 0..merge_n / 2 {
-            let a = self.cohorts.pop_front().expect("len checked");
-            let b = self.cohorts.pop_front().expect("len checked");
+        let pairs = self.cohorts.len() / 4;
+        let lane = !self.ledgers.is_empty();
+        for i in 0..pairs {
+            let (a, b) = (self.cohorts[2 * i], self.cohorts[2 * i + 1]);
             let count = a.count + b.count;
-            let mut xray = a.xray;
-            xray.merge_weighted(a.count, &b.xray, b.count);
-            merged.push(Cohort {
+            self.cohorts[i] = Cohort {
                 birth: SimTime((a.birth.secs() * a.count + b.birth.secs() * b.count) / count),
                 count,
                 net_latency: (a.net_latency * a.count + b.net_latency * b.count) / count,
-                xray,
-            });
+            };
+            if lane {
+                let mut merged = self.ledgers[2 * i];
+                merged.merge_weighted(a.count, &self.ledgers[2 * i + 1], b.count);
+                self.ledgers[i] = merged;
+            }
         }
-        for c in merged.into_iter().rev() {
-            self.cohorts.push_front(c);
+        self.cohorts.drain(pairs..2 * pairs);
+        if lane {
+            self.ledgers.drain(pairs..2 * pairs);
         }
     }
 }
@@ -260,25 +379,34 @@ impl CohortQueue {
 mod tests {
     use super::*;
 
+    /// A batch of `cohorts` with the lane off.
+    fn lane_off(cohorts: Vec<Cohort>) -> CohortBatch {
+        CohortBatch {
+            cohorts,
+            ledgers: Vec::new(),
+        }
+    }
+
     #[test]
     fn push_take_preserves_fifo_and_counts() {
         let mut q = CohortQueue::new();
-        q.push(Cohort::new(SimTime(0.0), 10.0));
-        q.push(Cohort::new(SimTime(1.0), 20.0));
+        q.push(Cohort::new(SimTime(0.0), 10.0), None);
+        q.push(Cohort::new(SimTime(1.0), 20.0), None);
         assert_eq!(q.len_events(), 30.0);
         let t = q.take(15.0);
         assert_eq!(t.len(), 2);
-        assert_eq!(t[0].birth, SimTime(0.0));
-        assert_eq!(t[0].count, 10.0);
-        assert_eq!(t[1].birth, SimTime(1.0));
-        assert_eq!(t[1].count, 5.0);
+        assert_eq!(t.cohorts[0].birth, SimTime(0.0));
+        assert_eq!(t.cohorts[0].count, 10.0);
+        assert_eq!(t.cohorts[1].birth, SimTime(1.0));
+        assert_eq!(t.cohorts[1].count, 5.0);
+        assert!(t.ledgers.is_empty());
         assert!((q.len_events() - 15.0).abs() < 1e-9);
     }
 
     #[test]
     fn take_more_than_available() {
         let mut q = CohortQueue::new();
-        q.push(Cohort::new(SimTime(0.0), 5.0));
+        q.push(Cohort::new(SimTime(0.0), 5.0), None);
         let t = q.take(100.0);
         assert_eq!(t.len(), 1);
         assert!(q.is_empty());
@@ -287,8 +415,8 @@ mod tests {
     #[test]
     fn adjacent_same_birth_cohorts_merge() {
         let mut q = CohortQueue::new();
-        q.push(Cohort::new(SimTime(2.0), 1.0));
-        q.push(Cohort::new(SimTime(2.0), 3.0));
+        q.push(Cohort::new(SimTime(2.0), 1.0), None);
+        q.push(Cohort::new(SimTime(2.0), 3.0), None);
         assert_eq!(q.len_cohorts(), 1);
         assert_eq!(q.len_events(), 4.0);
     }
@@ -296,8 +424,8 @@ mod tests {
     #[test]
     fn zero_count_push_is_noop() {
         let mut q = CohortQueue::new();
-        q.push(Cohort::new(SimTime(0.0), 0.0));
-        q.push(Cohort::new(SimTime(0.0), -5.0));
+        q.push(Cohort::new(SimTime(0.0), 0.0), None);
+        q.push(Cohort::new(SimTime(0.0), -5.0), None);
         assert!(q.is_empty());
         assert_eq!(q.len_cohorts(), 0);
     }
@@ -305,12 +433,17 @@ mod tests {
     #[test]
     fn drop_late_removes_only_expired() {
         let mut q = CohortQueue::new();
-        q.push(Cohort::new(SimTime(0.0), 10.0));
-        q.push(Cohort::new(SimTime(8.0), 10.0));
+        q.push(Cohort::new(SimTime(0.0), 10.0), None);
+        q.push(Cohort::new(SimTime(8.0), 10.0), None);
         let dropped = q.drop_late(SimTime(10.0), 5.0);
         assert_eq!(dropped, 10.0);
         assert_eq!(q.len_events(), 10.0);
         assert_eq!(q.oldest_birth(), Some(SimTime(8.0)));
+    }
+
+    #[test]
+    fn cohort_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Cohort>(), 24);
     }
 
     #[test]
@@ -322,40 +455,42 @@ mod tests {
 
     #[test]
     fn scaled_applies_selectivity() {
-        let cs = [
+        let cs = lane_off(vec![
             Cohort::new(SimTime(0.0), 10.0),
             Cohort::new(SimTime(1.0), 4.0),
-        ];
-        let out = CohortQueue::scaled(&cs, 0.5);
+        ]);
+        let out: Vec<Cohort> = cs.scaled(0.5).map(|(c, _)| c).collect();
         assert_eq!(out[0].count, 5.0);
         assert_eq!(out[1].count, 2.0);
-        assert!(CohortQueue::scaled(&cs, 0.0).is_empty());
+        assert_eq!(cs.scaled(0.0).count(), 0);
     }
 
     #[test]
     fn coalesce_bounds_cohort_count_and_preserves_mass() {
         let mut q = CohortQueue::new();
         for i in 0..10_000 {
-            q.push(Cohort::new(SimTime(i as f64), 1.0));
+            q.push(Cohort::new(SimTime(i as f64), 1.0), None);
         }
         assert!(q.len_cohorts() <= 4096 + 1);
         assert!((q.len_events() - 10_000.0).abs() < 1e-6);
         // FIFO order by birth is preserved.
         let drained = q.drain();
-        for w in drained.windows(2) {
+        for w in drained.cohorts.windows(2) {
             assert!(w[0].birth <= w[1].birth);
         }
     }
 
     #[test]
     fn push_scaled_matches_push_all_of_scaled() {
-        let cs = [
+        let cs = lane_off(vec![
             Cohort::new(SimTime(0.0), 10.0),
             Cohort::new(SimTime(0.0), 3.0),
             Cohort::new(SimTime(1.0), 4.0),
-        ];
+        ]);
         let mut a = CohortQueue::new();
-        a.push_all(CohortQueue::scaled(&cs, 0.3));
+        for (c, l) in cs.scaled(0.3) {
+            a.push(c, l);
+        }
         let mut b = CohortQueue::new();
         b.push_scaled(&cs, 0.3);
         assert_eq!(a.len_events().to_bits(), b.len_events().to_bits());
@@ -365,26 +500,401 @@ mod tests {
     #[test]
     fn clear_drops_dust_and_take_into_appends() {
         let mut q = CohortQueue::new();
-        q.push(Cohort::new(SimTime(0.0), 5e-13));
+        q.push(Cohort::new(SimTime(0.0), 5e-13), None);
         assert!(q.is_empty());
         assert_eq!(q.len_cohorts(), 1);
         q.clear();
         assert_eq!(q.len_cohorts(), 0);
         assert_eq!(q.len_events(), 0.0);
-        q.push(Cohort::new(SimTime(1.0), 4.0));
-        let mut out = vec![Cohort::new(SimTime(0.0), 1.0)];
+        q.push(Cohort::new(SimTime(1.0), 4.0), None);
+        let mut out = lane_off(vec![Cohort::new(SimTime(0.0), 1.0)]);
         q.take_into(3.0, &mut out);
         assert_eq!(out.len(), 2);
-        assert_eq!(out[1].count, 3.0);
+        assert_eq!(out.cohorts[1].count, 3.0);
         assert_eq!(q.len_events(), 1.0);
     }
 
     #[test]
     fn drain_empties_queue() {
         let mut q = CohortQueue::new();
-        q.push(Cohort::new(SimTime(0.0), 3.0));
+        q.push(Cohort::new(SimTime(0.0), 3.0), None);
         let all = q.drain();
         assert_eq!(all.len(), 1);
         assert!(q.is_empty());
+    }
+}
+
+/// The queue as it stood before the ledger lane, kept verbatim as the
+/// bit-identity reference for [`CohortQueue`]: every 96-byte cohort
+/// carries its own ledger, and x-ray-off cohorts carry a birth-fresh
+/// one.
+#[cfg(test)]
+mod reference {
+    use super::{MAX_COHORTS, MERGE_EPS};
+    use std::collections::VecDeque;
+    use wasp_netsim::units::SimTime;
+    use wasp_xray::DelayLedger;
+
+    /// A cohort with its ledger inside.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(super) struct Cohort {
+        pub birth: SimTime,
+        pub count: f64,
+        pub net_latency: f64,
+        pub xray: DelayLedger,
+    }
+
+    impl Cohort {
+        pub fn delay_at(&self, now: SimTime) -> f64 {
+            (now - self.birth) + self.net_latency
+        }
+    }
+
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct CohortQueue {
+        cohorts: VecDeque<Cohort>,
+        total: f64,
+    }
+
+    impl CohortQueue {
+        pub fn len_events(&self) -> f64 {
+            self.total
+        }
+
+        pub fn len_cohorts(&self) -> usize {
+            self.cohorts.len()
+        }
+
+        pub fn push(&mut self, c: Cohort) {
+            if c.count <= 0.0 {
+                return;
+            }
+            self.total += c.count;
+            if let Some(back) = self.cohorts.back_mut() {
+                if (back.birth.secs() - c.birth.secs()).abs() < MERGE_EPS
+                    && (back.net_latency - c.net_latency).abs() < MERGE_EPS
+                {
+                    let (wa, wb) = (back.count, c.count);
+                    back.xray.merge_weighted(wa, &c.xray, wb);
+                    back.count += c.count;
+                    return;
+                }
+            }
+            self.cohorts.push_back(c);
+            if self.cohorts.len() > MAX_COHORTS {
+                self.coalesce_oldest();
+            }
+        }
+
+        pub fn take_into(&mut self, n: f64, out: &mut Vec<Cohort>) {
+            let mut remaining = n.max(0.0);
+            while remaining > 1e-12 {
+                let Some(front) = self.cohorts.front_mut() else {
+                    break;
+                };
+                if front.count <= remaining + 1e-12 {
+                    remaining -= front.count;
+                    self.total -= front.count;
+                    out.push(*front);
+                    self.cohorts.pop_front();
+                } else {
+                    front.count -= remaining;
+                    self.total -= remaining;
+                    let mut taken = *front;
+                    taken.count = remaining;
+                    out.push(taken);
+                    remaining = 0.0;
+                }
+            }
+            if self.cohorts.is_empty() {
+                self.total = 0.0; // absorb float dust
+            }
+        }
+
+        pub fn drain(&mut self) -> Vec<Cohort> {
+            self.total = 0.0;
+            self.cohorts.drain(..).collect()
+        }
+
+        pub fn clear(&mut self) {
+            self.cohorts.clear();
+            self.total = 0.0;
+        }
+
+        pub fn drop_late(&mut self, now: SimTime, max_delay: f64) -> f64 {
+            let mut dropped = 0.0;
+            while let Some(front) = self.cohorts.front() {
+                if front.delay_at(now) > max_delay {
+                    dropped += front.count;
+                    self.total -= front.count;
+                    self.cohorts.pop_front();
+                } else {
+                    break;
+                }
+            }
+            if self.cohorts.is_empty() {
+                self.total = 0.0;
+            }
+            dropped
+        }
+
+        pub fn push_scaled(&mut self, cohorts: &[Cohort], factor: f64) {
+            for c in Self::scaled_iter(cohorts, factor) {
+                self.push(c);
+            }
+        }
+
+        fn scaled_iter(cohorts: &[Cohort], factor: f64) -> impl Iterator<Item = Cohort> + '_ {
+            cohorts
+                .iter()
+                .filter(move |c| c.count * factor > 0.0)
+                .map(move |c| Cohort {
+                    birth: c.birth,
+                    count: c.count * factor,
+                    net_latency: c.net_latency,
+                    xray: c.xray,
+                })
+        }
+
+        fn coalesce_oldest(&mut self) {
+            let merge_n = self.cohorts.len() / 2;
+            let mut merged: Vec<Cohort> = Vec::with_capacity(merge_n / 2 + 1);
+            for _ in 0..merge_n / 2 {
+                let a = self.cohorts.pop_front().expect("len checked");
+                let b = self.cohorts.pop_front().expect("len checked");
+                let count = a.count + b.count;
+                let mut xray = a.xray;
+                xray.merge_weighted(a.count, &b.xray, b.count);
+                merged.push(Cohort {
+                    birth: SimTime((a.birth.secs() * a.count + b.birth.secs() * b.count) / count),
+                    count,
+                    net_latency: (a.net_latency * a.count + b.net_latency * b.count) / count,
+                    xray,
+                });
+            }
+            for c in merged.into_iter().rev() {
+                self.cohorts.push_front(c);
+            }
+        }
+    }
+}
+
+/// Bit-identity of [`CohortQueue`] and its ledger lane against the
+/// [`reference`] queue over random operation sequences: pushes (with
+/// same-birth merges), splitting takes, scaled pushes, late drops,
+/// drains, clears, and bursts past `MAX_COHORTS` that coalesce. With
+/// the lane live every cohort and ledger matches to the bit; with it
+/// off the lane stays empty and every cohort matches.
+///
+/// Case count: 128 by default; `PROPTEST_CASES` overrides it (the
+/// vendored proptest only honours the in-config count, so the env var
+/// is resolved here).
+#[cfg(test)]
+mod lane_reference_tests {
+    use super::reference;
+    use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    fn cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(128)
+    }
+
+    /// The queue under test next to the reference.
+    struct Pair {
+        lane: bool,
+        q: CohortQueue,
+        r: reference::CohortQueue,
+        /// Latest birth pushed, so births stay non-decreasing as in
+        /// the engine (equal births are what merge).
+        clock: f64,
+    }
+
+    impl Pair {
+        /// A random ledger for a cohort born `birth`: the reference
+        /// cohort carries it, and the lane does when it is live.
+        fn ledger(&self, rng: &mut StdRng, birth: f64) -> DelayLedger {
+            let mut l = DelayLedger::new(birth);
+            if self.lane {
+                l.queue = rng.gen_range(0.0..5.0);
+                l.service = rng.gen_range(0.0..1.0);
+                l.transit = rng.gen_range(0.0..3.0);
+                l.backpressure = rng.gen_range(0.0..2.0);
+                l.migration = rng.gen_range(0.0..1.0);
+                l.control = rng.gen_range(0.0..1.0);
+                l.attributed_until = birth + rng.gen_range(0.0..10.0);
+                l.mark_pause = rng.gen_range(0.0..4.0);
+                l.mark_fail = rng.gen_range(0.0..4.0);
+            }
+            l
+        }
+
+        fn cohort(&mut self, rng: &mut StdRng) -> reference::Cohort {
+            if !rng.gen_bool(0.3) {
+                self.clock += rng.gen_range(0.0..2.0);
+            }
+            let birth = self.clock;
+            const LATENCIES: [f64; 3] = [0.0, 0.05, 0.25];
+            reference::Cohort {
+                birth: SimTime(birth),
+                count: if rng.gen_bool(0.05) {
+                    rng.gen_range(-1.0..=0.0)
+                } else {
+                    rng.gen_range(1e-6..500.0)
+                },
+                net_latency: LATENCIES[rng.gen_range(0..LATENCIES.len())],
+                xray: self.ledger(rng, birth),
+            }
+        }
+
+        fn push(&mut self, c: reference::Cohort) {
+            self.r.push(c);
+            let ledger = self.lane.then_some(&c.xray);
+            self.q.push(split(&c), ledger);
+        }
+
+        /// A batch of random cohorts in both representations.
+        fn batch(&mut self, rng: &mut StdRng) -> (CohortBatch, Vec<reference::Cohort>) {
+            let cs: Vec<reference::Cohort> = (0..rng.gen_range(0..20))
+                .map(|_| self.cohort(rng))
+                .collect();
+            (self.to_batch(&cs), cs)
+        }
+
+        fn to_batch(&self, cs: &[reference::Cohort]) -> CohortBatch {
+            let mut b = CohortBatch::new();
+            for c in cs {
+                b.push(split(c), self.lane.then_some(&c.xray));
+            }
+            b
+        }
+
+        /// Checks a batch taken off the queue against the reference's.
+        fn check(&self, got: &CohortBatch, want: &[reference::Cohort]) -> Result<(), String> {
+            prop_assert_eq!(got.len(), want.len());
+            if self.lane {
+                prop_assert_eq!(got.ledgers.len(), want.len());
+            } else {
+                prop_assert!(got.ledgers.is_empty(), "lane off, yet ledgers came out");
+            }
+            for (i, w) in want.iter().enumerate() {
+                let c = got.cohorts[i];
+                prop_assert_eq!(c.birth.secs().to_bits(), w.birth.secs().to_bits());
+                prop_assert_eq!(c.count.to_bits(), w.count.to_bits());
+                prop_assert_eq!(c.net_latency.to_bits(), w.net_latency.to_bits());
+                if self.lane {
+                    let (l, wl) = (&got.ledgers[i], &w.xray);
+                    let bits = |d: &DelayLedger| {
+                        let mut v = d.components().map(f64::to_bits).to_vec();
+                        v.extend([d.attributed_until, d.mark_pause, d.mark_fail].map(f64::to_bits));
+                        v
+                    };
+                    prop_assert_eq!(bits(l), bits(wl), "ledger {} of {}", i, want.len());
+                }
+            }
+            Ok(())
+        }
+
+        fn check_queue(&self) -> Result<(), String> {
+            prop_assert_eq!(self.q.len_events().to_bits(), self.r.len_events().to_bits());
+            prop_assert_eq!(self.q.len_cohorts(), self.r.len_cohorts());
+            let lane_len = if self.lane { self.q.len_cohorts() } else { 0 };
+            prop_assert_eq!(self.q.ledgers.len(), lane_len);
+            Ok(())
+        }
+    }
+
+    /// The lane representation of a reference cohort.
+    fn split(c: &reference::Cohort) -> Cohort {
+        Cohort {
+            birth: c.birth,
+            count: c.count,
+            net_latency: c.net_latency,
+        }
+    }
+
+    fn run_ops(seed: u64, lane: bool) -> Result<(), String> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut p = Pair {
+            lane,
+            q: CohortQueue::new(),
+            r: reference::CohortQueue::default(),
+            clock: 0.0,
+        };
+        for _ in 0..rng.gen_range(1..60) {
+            match rng.gen_range(0..100u32) {
+                0..=34 => {
+                    let c = p.cohort(&mut rng);
+                    p.push(c);
+                }
+                35..=59 => {
+                    // Takes that land inside a cohort split it.
+                    let n = p.r.len_events() * rng.gen_range(0.0..1.2);
+                    let mut got = CohortBatch::new();
+                    let mut want = Vec::new();
+                    p.q.take_into(n, &mut got);
+                    p.r.take_into(n, &mut want);
+                    p.check(&got, &want)?;
+                }
+                60..=74 => {
+                    let (b, cs) = p.batch(&mut rng);
+                    let factor = if rng.gen_bool(0.1) {
+                        0.0
+                    } else {
+                        rng.gen_range(0.0..2.0)
+                    };
+                    p.q.push_scaled(&b, factor);
+                    p.r.push_scaled(&cs, factor);
+                }
+                75..=82 => {
+                    let now = SimTime(p.clock + rng.gen_range(0.0..5.0));
+                    let slo = rng.gen_range(0.0..20.0);
+                    let (a, b) = (p.q.drop_late(now, slo), p.r.drop_late(now, slo));
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+                83..=88 => {
+                    let got = p.q.drain();
+                    let want = p.r.drain();
+                    p.check(&got, &want)?;
+                }
+                89..=92 => {
+                    p.q.clear();
+                    p.r.clear();
+                }
+                _ => {
+                    // A burst past MAX_COHORTS: the queue coalesces.
+                    for _ in 0..rng.gen_range(MAX_COHORTS / 2..2 * MAX_COHORTS) {
+                        p.clock += rng.gen_range(1e-3..0.1);
+                        let c = p.cohort(&mut rng);
+                        p.push(c);
+                    }
+                }
+            }
+            p.check_queue()?;
+        }
+        let got = p.q.drain();
+        let want = p.r.drain();
+        p.check(&got, &want)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        /// With the lane live, cohorts and ledgers match the
+        /// reference to the bit after every operation.
+        #[test]
+        fn live_lane_matches_reference_bitwise(seed in 0u64..u64::MAX) {
+            run_ops(seed, true)?;
+        }
+
+        /// With the lane off, it stays empty and the cohorts match the
+        /// reference (whose cohorts carry birth-fresh ledgers).
+        #[test]
+        fn idle_lane_stays_empty_and_cohorts_match(seed in 0u64..u64::MAX) {
+            run_ops(seed, false)?;
+        }
     }
 }

@@ -23,7 +23,7 @@
 //! * optional **late-event dropping** against an SLO (the Degrade
 //!   baseline).
 
-use crate::cohort::{Cohort, CohortQueue};
+use crate::cohort::{Cohort, CohortBatch, CohortQueue};
 use crate::control::{ControlMetrics, ControlPlaneState, InFlightCommand};
 use crate::ids::OpId;
 use crate::metrics::{FailureEvent, QuerySnapshot, RunMetrics, StageObs, TickRow};
@@ -302,32 +302,51 @@ impl Group {
         self.window_buf.values().map(|a| a.count).sum()
     }
 
-    /// Adds one processed cohort to its event-time window, or emits it
-    /// immediately (scaled by σ) if its window already fired. With
-    /// xray on, `now` is the absorb time and the cohort's ledger
-    /// components accumulate (count-weighted) into the window.
-    fn absorb_into_window(&mut self, c: Cohort, window_s: f64, sigma: f64, xray: bool, now: f64) {
+    /// Adds one processed cohort (with its ledger while x-ray is on)
+    /// to its event-time window, or emits it immediately (scaled by σ)
+    /// if its window already fired. With xray on, `now` is the absorb
+    /// time and the ledger's components accumulate (count-weighted)
+    /// into the window.
+    fn absorb_into_window(
+        &mut self,
+        c: Cohort,
+        ledger: Option<&DelayLedger>,
+        window_s: f64,
+        sigma: f64,
+        now: f64,
+    ) {
         let w = (c.birth.secs() / window_s).floor() as i64;
         self.max_birth_seen = self.max_birth_seen.max(c.birth.secs());
         if w <= self.fired_up_to {
             // Late-firing update for an already-emitted window.
-            self.pending_out.push(Cohort {
-                birth: c.birth,
-                count: c.count * sigma,
-                net_latency: c.net_latency,
-                xray: c.xray,
-            });
+            let count = c.count * sigma;
+            self.pending_out.push(Cohort { count, ..c }, ledger);
         } else {
             let agg = self.window_buf.entry(w).or_default();
             agg.count += c.count;
             agg.max_birth = agg.max_birth.max(c.birth.secs());
             agg.lat_sum += c.net_latency * c.count;
-            if xray {
-                for (sum, comp) in agg.comp_sums.iter_mut().zip(c.xray.components()) {
+            if let Some(l) = ledger {
+                for (sum, comp) in agg.comp_sums.iter_mut().zip(l.components()) {
                     *sum += comp * c.count;
                 }
                 agg.entered_sum += now * c.count;
             }
+        }
+    }
+
+    /// [`Group::absorb_into_window`] for every cohort of `batch`, its
+    /// counts scaled by `share`.
+    fn absorb_batch(
+        &mut self,
+        batch: &CohortBatch,
+        share: f64,
+        window_s: f64,
+        sigma: f64,
+        now: f64,
+    ) {
+        for (c, l) in batch.scaled(share) {
+            self.absorb_into_window(c, l, window_s, sigma, now);
         }
     }
 
@@ -372,19 +391,19 @@ impl Group {
             }
             let agg = self.window_buf.remove(&w).expect("key just read");
             if agg.count > 0.0 {
-                let xray_led = if xray {
+                let ledger = if xray {
                     node_acc[Component::Queue as usize] +=
                         (agg.count * t1 - agg.entered_sum).max(0.0);
-                    self.fired_ledger(&agg, t1)
+                    Some(self.fired_ledger(&agg, t1))
                 } else {
-                    DelayLedger::new(agg.max_birth)
+                    None
                 };
-                self.pending_out.push(Cohort {
+                let fired = Cohort {
                     birth: SimTime(agg.max_birth),
                     count: agg.count * sigma,
                     net_latency: agg.lat_sum / agg.count,
-                    xray: xray_led,
-                });
+                };
+                self.pending_out.push(fired, ledger.as_ref());
             }
             self.fired_up_to = self.fired_up_to.max(w);
         }
@@ -392,22 +411,16 @@ impl Group {
 
     /// Drains all open windows into cohorts (one per window, carrying
     /// the window's max event time), e.g. to hand off on redeploy.
-    fn drain_windows(&mut self, xray: bool, now: f64) -> Vec<Cohort> {
-        let out = self
-            .window_buf
-            .values()
-            .filter(|a| a.count > 0.0)
-            .map(|a| Cohort {
+    fn drain_windows(&mut self, xray: bool, now: f64) -> CohortBatch {
+        let mut out = CohortBatch::new();
+        for a in self.window_buf.values().filter(|a| a.count > 0.0) {
+            let c = Cohort {
                 birth: SimTime(a.max_birth),
                 count: a.count,
                 net_latency: a.lat_sum / a.count,
-                xray: if xray {
-                    self.fired_ledger(a, now)
-                } else {
-                    DelayLedger::new(a.max_birth)
-                },
-            })
-            .collect();
+            };
+            out.push(c, xray.then(|| self.fired_ledger(a, now)).as_ref());
+        }
         self.window_buf.clear();
         out
     }
@@ -421,9 +434,9 @@ struct EdgeKey {
     to_site: SiteId,
 }
 
-/// One unit of per-tick work: a (stage, site) group plus the per-site
-/// inputs sampled while sharding. Owns its `Group` for the duration of
-/// the compute phase, so tasks share no mutable state.
+/// One unit of per-tick work: a (stage, site) placement plus the
+/// per-site inputs sampled while sharding. Its `Group` stays in the
+/// engine's map and is lent to the task while it computes.
 #[derive(Debug)]
 struct ProcTask {
     op: OpId,
@@ -439,8 +452,6 @@ struct ProcTask {
     paused_frac: f64,
     /// Straggler slowdown factor for this site at tick start.
     compute_factor: f64,
-    /// `None` only for blocked placements with no instantiated group.
-    group: Option<Group>,
     /// Empty output buffers from the engine's pool.
     bufs: EmitBufs,
 }
@@ -449,11 +460,12 @@ struct ProcTask {
 /// engine pool, so a warmed-up tick allocates no per-task vectors.
 #[derive(Debug, Default)]
 struct EmitBufs {
-    /// Cohorts taken from `pending_out` this tick: sink deliveries, or
-    /// the emission every downstream edge receives (scaled by its
-    /// share). Also holds the dequeued input while it is processed.
-    cohorts: Vec<Cohort>,
-    /// Downstream edge buffers and the share of `cohorts` each
+    /// Cohorts (with their ledger lane) taken from `pending_out` this
+    /// tick: sink deliveries, or the emission every downstream edge
+    /// receives (scaled by its share). Also holds the dequeued input
+    /// while it is processed.
+    batch: CohortBatch,
+    /// Downstream edge buffers and the share of `batch` each
     /// receives, in (downstream op, placement site) order. Empty for
     /// sinks.
     edges: Vec<(EdgeKey, f64)>,
@@ -481,9 +493,6 @@ struct ProcCtx<'a> {
 #[derive(Debug)]
 struct ProcOutcome {
     op: OpId,
-    site: SiteId,
-    /// The group, handed back for re-insertion.
-    group: Option<Group>,
     /// The group newly entered backpressure this tick (at most one
     /// counter increment per task, following the `!g.backpressured`
     /// guards).
@@ -492,7 +501,7 @@ struct ProcOutcome {
     processed: f64,
     /// Events emitted (drives the per-op emission counter).
     emitted: f64,
-    /// The op is a sink: `bufs.cohorts` are deliveries, in emission
+    /// The op is a sink: `bufs.batch` are deliveries, in emission
     /// order (delay accounting happens in the reduce so histograms
     /// observe in task order). Otherwise they are
     /// pushed to each of `bufs.edges`, scaled by its share.
@@ -506,30 +515,30 @@ struct ProcOutcome {
     xray_nodes: [f64; 6],
 }
 
-/// Closes a cohort's input-queue interval up to `until`. The overlap
-/// with the owning group's cumulative pause counters (relative to the
-/// marks snapshotted at enqueue) is attributed to migration pause and
-/// control-plane lag respectively; up to `service_dt` of the remainder
-/// is the current tick's compute, and the rest is genuine queue wait.
-/// Returns per-event seconds charged per component (for the flow
-/// view).
+/// Closes a cohort's input-queue interval in its ledger up to
+/// `until`. The overlap with the owning group's cumulative pause
+/// counters (relative to the marks snapshotted at enqueue) is
+/// attributed to migration pause and control-plane lag respectively;
+/// up to `service_dt` of the remainder is the current tick's compute,
+/// and the rest is genuine queue wait. Returns per-event seconds
+/// charged per component (for the flow view).
 fn close_queue_interval(
-    c: &mut Cohort,
+    l: &mut DelayLedger,
     pause_mig_cum: f64,
     pause_fail_cum: f64,
     until: f64,
     service_dt: f64,
 ) -> [f64; 6] {
-    let total = (until - c.xray.attributed_until).max(0.0);
-    let mig = (pause_mig_cum - c.xray.mark_pause).clamp(0.0, total);
-    let fail = (pause_fail_cum - c.xray.mark_fail).clamp(0.0, (total - mig).max(0.0));
+    let total = (until - l.attributed_until).max(0.0);
+    let mig = (pause_mig_cum - l.mark_pause).clamp(0.0, total);
+    let fail = (pause_fail_cum - l.mark_fail).clamp(0.0, (total - mig).max(0.0));
     let service = service_dt.clamp(0.0, (total - mig - fail).max(0.0));
     let queue = (total - mig - fail - service).max(0.0);
-    c.xray.charge(Component::Queue, queue);
-    c.xray.charge(Component::Service, service);
-    c.xray.charge(Component::Migration, mig);
-    c.xray.charge(Component::Control, fail);
-    c.xray.attributed_until = c.xray.attributed_until.max(until);
+    l.charge(Component::Queue, queue);
+    l.charge(Component::Service, service);
+    l.charge(Component::Migration, mig);
+    l.charge(Component::Control, fail);
+    l.attributed_until = l.attributed_until.max(until);
     let mut comps = [0.0; 6];
     comps[Component::Queue as usize] = queue;
     comps[Component::Service as usize] = service;
@@ -538,26 +547,28 @@ fn close_queue_interval(
     comps
 }
 
-/// Closes a cohort's pending-output wait up to `until`: a source
-/// counts up to `service_dt` as its emission service, everything else
-/// is a stall behind a full downstream buffer.
-fn close_pending_interval(c: &mut Cohort, until: f64, service_dt: f64) -> [f64; 6] {
-    let total = (until - c.xray.attributed_until).max(0.0);
+/// Closes a cohort's pending-output wait in its ledger up to `until`:
+/// a source counts up to `service_dt` as its emission service,
+/// everything else is a stall behind a full downstream buffer.
+fn close_pending_interval(l: &mut DelayLedger, until: f64, service_dt: f64) -> [f64; 6] {
+    let total = (until - l.attributed_until).max(0.0);
     let service = service_dt.clamp(0.0, total);
     let stall = (total - service).max(0.0);
-    c.xray.charge(Component::Service, service);
-    c.xray.charge(Component::Backpressure, stall);
-    c.xray.attributed_until = c.xray.attributed_until.max(until);
+    l.charge(Component::Service, service);
+    l.charge(Component::Backpressure, stall);
+    l.attributed_until = l.attributed_until.max(until);
     let mut comps = [0.0; 6];
     comps[Component::Service as usize] = service;
     comps[Component::Backpressure as usize] = stall;
     comps
 }
 
-/// The compute phase for one task: a pure function of the task and the
-/// pre-tick context. Must not touch any engine-global mutable state —
-/// every effect is returned in the [`ProcOutcome`].
-fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
+/// The compute phase for one task: a function of the task, its group
+/// (`None` only for a blocked placement with no instantiated group)
+/// and the pre-tick context. Apart from the group it must not touch
+/// any engine-global mutable state — every other effect is returned in
+/// the [`ProcOutcome`].
+fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask, group: Option<&mut Group>) -> ProcOutcome {
     let ProcTask {
         op,
         site,
@@ -565,13 +576,10 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
         blocked_by_failure,
         paused_frac,
         compute_factor,
-        group,
         bufs,
     } = task;
     let mut out = ProcOutcome {
         op,
-        site,
-        group: None,
         backpressure: false,
         processed: 0.0,
         emitted: 0.0,
@@ -580,7 +588,7 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
         xray_nodes: [0.0; 6],
     };
     if blocked {
-        if let Some(mut g) = group {
+        if let Some(g) = group {
             if !g.backpressured {
                 g.backpressured = true;
                 out.backpressure = true;
@@ -595,7 +603,6 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
                     g.pause_mig_cum += ctx.dt;
                 }
             }
-            out.group = Some(g);
         }
         return out;
     }
@@ -604,7 +611,7 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
     let is_sink = spec.kind().is_sink();
     let is_source = spec.kind().is_source();
     let windowed = spec.kind().window_s().is_some();
-    let mut g = group.expect("deployed group");
+    let g = group.expect("deployed group");
     if ctx.xray && paused_frac > 0.0 {
         // A partitioned migration pauses a key-space fraction of this
         // group; the pause time accrues pro rata.
@@ -621,7 +628,10 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
         // emits nothing.
         let redo_n = g.redo.len_events().min(capacity);
         if redo_n > 0.0 {
-            g.redo.take(redo_n);
+            // Taken through the (still empty) emission buffer so a
+            // recovery tick allocates nothing.
+            g.redo.take_into(redo_n, &mut out.bufs.batch);
+            out.bufs.batch.clear();
             capacity -= redo_n;
         }
         // Output-buffer space limits processing (this is the
@@ -651,31 +661,31 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
             out.backpressure = true;
         }
         if n > 0.0 {
-            let cohorts = &mut out.bufs.cohorts;
-            g.input.take_into(n, cohorts);
+            let batch = &mut out.bufs.batch;
+            g.input.take_into(n, batch);
             if ctx.xray {
-                for c in cohorts.iter_mut() {
+                for (c, l) in batch.cohorts.iter().zip(batch.ledgers.iter_mut()) {
                     let comps =
-                        close_queue_interval(c, g.pause_mig_cum, g.pause_fail_cum, ctx.t1, ctx.dt);
+                        close_queue_interval(l, g.pause_mig_cum, g.pause_fail_cum, ctx.t1, ctx.dt);
                     for (acc, v) in out.xray_nodes.iter_mut().zip(comps) {
                         *acc += v * c.count;
                     }
-                    c.xray.mark_pause = g.pause_mig_cum;
-                    c.xray.mark_fail = g.pause_fail_cum;
+                    l.mark_pause = g.pause_mig_cum;
+                    l.mark_fail = g.pause_fail_cum;
                 }
             }
             g.processed += n;
             out.processed = n;
-            g.since_ckpt.push_all(cohorts.iter().copied());
+            g.since_ckpt.push_all(batch);
             if windowed {
                 let w = spec.kind().window_s().expect("windowed op");
-                for c in cohorts.drain(..) {
-                    g.absorb_into_window(c, w, sigma, ctx.xray, ctx.t1);
+                for (c, l) in batch.iter() {
+                    g.absorb_into_window(*c, l, w, sigma, ctx.t1);
                 }
             } else {
-                g.pending_out.push_scaled(cohorts, sigma);
-                cohorts.clear();
+                g.pending_out.push_scaled(batch, sigma);
             }
+            batch.clear();
         }
         // --- event-time window firing ---
         // A tumbling window fires once the watermark (the latest event
@@ -732,15 +742,15 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
     };
     out.sink = is_sink;
     if emit_n > 0.0 {
-        let cohorts = &mut out.bufs.cohorts;
-        g.pending_out.take_into(emit_n, cohorts);
+        let batch = &mut out.bufs.batch;
+        g.pending_out.take_into(emit_n, batch);
         if ctx.xray {
             // Sources charge their generation tick as service; everyone
             // else waited here only because a downstream buffer was
             // full.
             let sdt = if is_source { ctx.dt } else { 0.0 };
-            for c in cohorts.iter_mut() {
-                let comps = close_pending_interval(c, ctx.t1, sdt);
+            for (c, l) in batch.cohorts.iter().zip(batch.ledgers.iter_mut()) {
+                let comps = close_pending_interval(l, ctx.t1, sdt);
                 for (acc, v) in out.xray_nodes.iter_mut().zip(comps) {
                     *acc += v * c.count;
                 }
@@ -767,7 +777,6 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask) -> ProcOutcome {
             }
         }
     }
-    out.group = Some(g);
     out
 }
 
@@ -1123,6 +1132,9 @@ pub struct Engine {
     pending_events: Vec<FailureEvent>,
     /// Failed-site set as of the previous tick, for edge detection.
     prev_failed: Vec<SiteId>,
+    /// The buffer the next tick's failed-site set is built in; swapped
+    /// with `prev_failed` every tick so an outage allocates nothing.
+    failed_scratch: Vec<SiteId>,
     /// Telemetry handle (disabled by default; zero cost when off).
     tel: Telemetry,
     /// Last observed dynamics factors and the next tick time at which
@@ -1261,7 +1273,7 @@ struct TransferScratch {
     /// Links already carrying a head slice of the current migration.
     slice_links: Vec<(SiteId, SiteId)>,
     /// Cohorts taken off one edge buffer.
-    moved: Vec<Cohort>,
+    moved: CohortBatch,
 }
 
 impl Engine {
@@ -1317,6 +1329,7 @@ impl Engine {
             ckpt_incomplete: 0,
             pending_events: Vec::new(),
             prev_failed: Vec::new(),
+            failed_scratch: Vec::new(),
             tel: Telemetry::disabled(),
             dyn_watch,
             hub: MetricsHub::disabled(),
@@ -1449,6 +1462,21 @@ impl Engine {
                 self.net.topology().site(s).name().to_string(),
             )
         }));
+        // Cohorts queued while x-ray was off carry no ledger yet: give
+        // each the birth-fresh one it starts from.
+        for g in self.groups.values_mut() {
+            for q in [
+                &mut g.input,
+                &mut g.pending_out,
+                &mut g.since_ckpt,
+                &mut g.redo,
+            ] {
+                q.fill_lane();
+            }
+        }
+        for q in self.edges.values_mut() {
+            q.fill_lane();
+        }
         self.xray = Some(XrayState {
             window_s,
             rec,
@@ -2196,37 +2224,37 @@ impl Engine {
             if let Some(mut g) = self.groups.remove(&(op, site)) {
                 let (mc, fc) = (g.pause_mig_cum, g.pause_fail_cum);
                 let mut inputs = g.input.drain();
-                inputs.extend(g.redo.drain());
+                inputs.append(&mut g.redo.drain());
                 let mut windows = g.drain_windows(xray_on, now);
                 let mut pend = g.pending_out.drain();
                 if xray_on {
                     // Close every carried ledger out at `now` against
                     // the *old* group's pause counters, then zero the
                     // marks: the fresh groups restart their counters.
-                    for c in inputs.iter_mut() {
-                        let comps = close_queue_interval(c, mc, fc, now, 0.0);
+                    for (c, l) in inputs.cohorts.iter().zip(inputs.ledgers.iter_mut()) {
+                        let comps = close_queue_interval(l, mc, fc, now, 0.0);
                         for (a, v) in xray_acc.iter_mut().zip(comps) {
                             *a += v * c.count;
                         }
-                        c.xray.mark_pause = 0.0;
-                        c.xray.mark_fail = 0.0;
+                        l.mark_pause = 0.0;
+                        l.mark_fail = 0.0;
                     }
-                    for c in windows.iter_mut() {
+                    for l in windows.ledgers.iter_mut() {
                         // `drain_windows` already closed these at `now`.
-                        c.xray.mark_pause = 0.0;
-                        c.xray.mark_fail = 0.0;
+                        l.mark_pause = 0.0;
+                        l.mark_fail = 0.0;
                     }
-                    for c in pend.iter_mut() {
-                        let comps = close_pending_interval(c, now, 0.0);
+                    for (c, l) in pend.cohorts.iter().zip(pend.ledgers.iter_mut()) {
+                        let comps = close_pending_interval(l, now, 0.0);
                         for (a, v) in xray_acc.iter_mut().zip(comps) {
                             *a += v * c.count;
                         }
-                        c.xray.mark_pause = 0.0;
-                        c.xray.mark_fail = 0.0;
+                        l.mark_pause = 0.0;
+                        l.mark_fail = 0.0;
                     }
                 }
-                carried_input.push_all(inputs);
-                carried_window.push_all(windows);
+                carried_input.push_all(&inputs);
+                carried_window.push_all(&windows);
                 old_state_total += g.state_mb;
                 // Pending output stays at the site as an orphan edge
                 // buffer source; move it into the outgoing edges now.
@@ -2257,9 +2285,7 @@ impl Engine {
             // as input would double-charge the CPU).
             if let Some(w) = self.plan.op(op).kind().window_s() {
                 let sigma = self.plan.op(op).selectivity();
-                for c in CohortQueue::scaled(&window_cohorts, share) {
-                    g.absorb_into_window(c, w, sigma, xray_on, now);
-                }
+                g.absorb_batch(&window_cohorts, share, w, sigma, now);
             } else {
                 g.input.push_scaled(&window_cohorts, share);
             }
@@ -2404,7 +2430,7 @@ impl Engine {
 
     /// Moves a departed group's pending output into its outgoing edge
     /// buffers so remaining/new tasks relay it.
-    fn spill_pending(&mut self, op: OpId, site: SiteId, pending: Vec<Cohort>) {
+    fn spill_pending(&mut self, op: OpId, site: SiteId, pending: CohortBatch) {
         if pending.is_empty() {
             return;
         }
@@ -2448,7 +2474,7 @@ impl Engine {
             gathered
                 .entry((key.from_op, key.from_site))
                 .or_default()
-                .push_all(q.drain());
+                .push_all(&q.drain());
         }
         for ((from_op, from_site), mut q) in gathered {
             let cohorts = q.drain();
@@ -2497,26 +2523,27 @@ impl Engine {
         let carry_map: BTreeMap<OpId, OpId> = sw.carry.iter().copied().collect();
 
         // (new op, cohorts) input/window/pending data to install.
-        let mut carried_inputs: BTreeMap<OpId, Vec<Cohort>> = BTreeMap::new();
-        let mut carried_windows: BTreeMap<OpId, Vec<Cohort>> = BTreeMap::new();
-        let mut carried_pendings: BTreeMap<OpId, Vec<Cohort>> = BTreeMap::new();
-        let mut replay: Vec<Cohort> = Vec::new();
+        let mut carried_inputs: BTreeMap<OpId, CohortBatch> = BTreeMap::new();
+        let mut carried_windows: BTreeMap<OpId, CohortBatch> = BTreeMap::new();
+        let mut carried_pendings: BTreeMap<OpId, CohortBatch> = BTreeMap::new();
+        let mut replay = CohortBatch::new();
         let xray_on = self.xray.is_some();
         let now = self.now;
-        let mut add_replay = |cohorts: Vec<Cohort>, factor: f64| {
+        let mut add_replay = |batch: CohortBatch, factor: f64| {
             if factor > 1e-12 {
-                for mut c in cohorts {
+                for mut c in batch.cohorts {
                     c.count /= factor;
                     c.net_latency = 0.0;
-                    if xray_on {
+                    let ledger = xray_on.then(|| {
                         // The event's whole history is thrown away and
                         // re-done because of the plan switch: rebase
                         // the ledger and book the lost age as
                         // migration cost.
-                        c.xray = DelayLedger::new(c.birth.secs());
-                        c.xray.advance(Component::Migration, now);
-                    }
-                    replay.push(c);
+                        let mut l = DelayLedger::new(c.birth.secs());
+                        l.advance(Component::Migration, now);
+                        l
+                    });
+                    replay.push(c, ledger.as_ref());
                 }
             }
         };
@@ -2536,7 +2563,7 @@ impl Engine {
                 0.0
             };
             let mut input = g.input.drain();
-            input.extend(g.redo.drain());
+            input.append(&mut g.redo.drain());
             let mut window = g.drain_windows(xray_on, now);
             let mut pending = g.pending_out.drain();
             if xray_on {
@@ -2545,33 +2572,39 @@ impl Engine {
                 // their counters from zero.
                 let (mc, fc) = (g.pause_mig_cum, g.pause_fail_cum);
                 let acc = xray_node_acc.entry(op.0).or_insert([0.0; 6]);
-                for c in input.iter_mut() {
-                    let comps = close_queue_interval(c, mc, fc, now, 0.0);
+                for (c, l) in input.cohorts.iter().zip(input.ledgers.iter_mut()) {
+                    let comps = close_queue_interval(l, mc, fc, now, 0.0);
                     for (a, v) in acc.iter_mut().zip(comps) {
                         *a += v * c.count;
                     }
-                    c.xray.mark_pause = 0.0;
-                    c.xray.mark_fail = 0.0;
+                    l.mark_pause = 0.0;
+                    l.mark_fail = 0.0;
                 }
-                for c in window.iter_mut() {
-                    c.xray.mark_pause = 0.0;
-                    c.xray.mark_fail = 0.0;
+                for l in window.ledgers.iter_mut() {
+                    l.mark_pause = 0.0;
+                    l.mark_fail = 0.0;
                 }
-                for c in pending.iter_mut() {
-                    let comps = close_pending_interval(c, now, 0.0);
+                for (c, l) in pending.cohorts.iter().zip(pending.ledgers.iter_mut()) {
+                    let comps = close_pending_interval(l, now, 0.0);
                     for (a, v) in acc.iter_mut().zip(comps) {
                         *a += v * c.count;
                     }
-                    c.xray.mark_pause = 0.0;
-                    c.xray.mark_fail = 0.0;
+                    l.mark_pause = 0.0;
+                    l.mark_fail = 0.0;
                 }
             }
             if let Some(&new_op) = carry_map.get(&op) {
-                carried_inputs.entry(new_op).or_default().extend(input);
-                carried_windows.entry(new_op).or_default().extend(window);
+                carried_inputs.entry(new_op).or_default().append(&mut input);
+                carried_windows
+                    .entry(new_op)
+                    .or_default()
+                    .append(&mut window);
                 // Pending output is post-σ and semantically identical
                 // under the carried operator: keep it as its output.
-                carried_pendings.entry(new_op).or_default().extend(pending);
+                carried_pendings
+                    .entry(new_op)
+                    .or_default()
+                    .append(&mut pending);
             } else {
                 if self.plan.op(op).is_stateful() {
                     self.lost_state_mb += g.state_mb;
@@ -2587,20 +2620,23 @@ impl Engine {
         for key in edge_keys {
             let mut q = self.edges.remove(&key).expect("key just listed");
             if let Some(&new_op) = carry_map.get(&key.from_op) {
-                let mut cohorts = q.drain();
+                let mut batch = q.drain();
                 if xray_on {
                     // In-flight edge waits close as transit against
                     // the old producer.
                     let acc = xray_node_acc.entry(key.from_op.0).or_insert([0.0; 6]);
-                    for c in cohorts.iter_mut() {
-                        let waited = (now - c.xray.attributed_until).max(0.0);
-                        c.xray.advance(Component::Transit, now);
+                    for (c, l) in batch.cohorts.iter().zip(batch.ledgers.iter_mut()) {
+                        let waited = (now - l.attributed_until).max(0.0);
+                        l.advance(Component::Transit, now);
                         acc[Component::Transit as usize] += waited * c.count;
-                        c.xray.mark_pause = 0.0;
-                        c.xray.mark_fail = 0.0;
+                        l.mark_pause = 0.0;
+                        l.mark_fail = 0.0;
                     }
                 }
-                carried_pendings.entry(new_op).or_default().extend(cohorts);
+                carried_pendings
+                    .entry(new_op)
+                    .or_default()
+                    .append(&mut batch);
                 continue;
             }
             let out_factor = if total_src > 0.0 {
@@ -2653,11 +2689,7 @@ impl Engine {
                     match window_s {
                         // Window contents are state: restore them into
                         // the accumulator without re-processing.
-                        Some(w) => {
-                            for c in CohortQueue::scaled(&cohorts, share) {
-                                g.absorb_into_window(c, w, sigma, xray_on, now);
-                            }
-                        }
+                        Some(w) => g.absorb_batch(&cohorts, share, w, sigma, now),
                         None => g.input.push_scaled(&cohorts, share),
                     }
                 }
@@ -2747,12 +2779,14 @@ impl Engine {
     /// controller sees outages *and* recoveries even when both fall
     /// inside one monitoring interval (flapping).
     fn detect_failure_edges(&mut self, t0: f64) {
-        let failed: Vec<SiteId> = self
-            .net
-            .topology()
-            .site_ids()
-            .filter(|&s| self.site_failed(s, t0))
-            .collect();
+        let mut failed = std::mem::take(&mut self.failed_scratch);
+        failed.clear();
+        failed.extend(
+            self.net
+                .topology()
+                .site_ids()
+                .filter(|&s| self.site_failed(s, t0)),
+        );
         for &site in &failed {
             if !self.prev_failed.contains(&site) {
                 self.pending_events.push(FailureEvent::SiteDown {
@@ -2777,7 +2811,7 @@ impl Engine {
                 });
             }
         }
-        self.prev_failed = failed;
+        self.failed_scratch = std::mem::replace(&mut self.prev_failed, failed);
     }
 
     /// Emits a [`TelEvent::DynamicsTransition`] whenever a scripted
@@ -2842,7 +2876,7 @@ impl Engine {
                                     hit.push((op, site));
                                 }
                             }
-                            None => g.redo.push_all(lost),
+                            None => g.redo.push_all(&lost),
                         }
                     }
                 }
@@ -2946,7 +2980,7 @@ impl Engine {
                         // this site's share of the delta, not the full
                         // blob.
                         Some(d) => {
-                            g.since_ckpt.drain();
+                            g.since_ckpt.clear();
                             if d.full_mb > 1e-12 {
                                 d.delta_mb * g.state_mb / d.full_mb
                             } else {
@@ -2958,7 +2992,7 @@ impl Engine {
                         None => continue,
                     }
                 } else {
-                    g.since_ckpt.drain();
+                    g.since_ckpt.clear();
                     g.state_mb
                 };
                 if site != target && upload_mb > 0.0 {
@@ -2986,7 +3020,7 @@ impl Engine {
                 if self.stores.contains_key(&op) && !deltas.contains_key(&op) {
                     continue;
                 }
-                g.since_ckpt.drain();
+                g.since_ckpt.clear();
             }
             self.tel.emit(t0, || TelEvent::CheckpointRound {
                 kind: "local".to_string(),
@@ -3231,7 +3265,7 @@ impl Engine {
                         let lost = g.since_ckpt.drain();
                         match frac {
                             Some(f) => g.redo.push_scaled(&lost, f),
-                            None => g.redo.push_all(lost),
+                            None => g.redo.push_all(&lost),
                         }
                     }
                 }
@@ -3245,7 +3279,7 @@ impl Engine {
                 // since-checkpoint window.
                 for g in self.groups.values_mut() {
                     let lost = g.since_ckpt.drain();
-                    g.redo.push_all(lost);
+                    g.redo.push_all(&lost);
                 }
                 self.pending_events.push(FailureEvent::MigrationAborted {
                     op: None,
@@ -3283,7 +3317,9 @@ impl Engine {
             let count = base_rate * factor * dt;
             total += count;
             if let Some(g) = self.groups.get_mut(&(op, site)) {
-                g.pending_out.push(Cohort::new(SimTime(t0), count));
+                let ledger = self.xray.is_some().then(|| DelayLedger::new(t0));
+                g.pending_out
+                    .push(Cohort::new(SimTime(t0), count), ledger.as_ref());
                 g.generated += count;
                 g.processed += count;
                 g.arrived += count;
@@ -3531,26 +3567,27 @@ impl Engine {
                 // The flow's x-ray slots, resolved once: the DAG edge
                 // registers when a cohort moves, the WAN link only
                 // when an event does (as `TransitLedger::record`).
-                let mut slots = self.xray.as_mut().filter(|_| !sc.moved.is_empty()).map(
+                let CohortBatch { cohorts, ledgers } = &mut sc.moved;
+                let mut slots = self.xray.as_mut().filter(|_| !cohorts.is_empty()).map(
                     |XrayState { rec, links, .. }| {
                         let edge = rec.edge_acc(t0, key.from_op.0, key.to_op.0);
-                        let link = sc
-                            .moved
+                        let link = cohorts
                             .iter()
                             .any(|c| c.count > 0.0)
                             .then(|| links.acc(key.from_site, key.to_site));
                         (edge, link)
                     },
                 );
-                for mut c in sc.moved.drain(..) {
+                for (i, c) in cohorts.iter().enumerate() {
                     if let Some((edge, link)) = slots.as_mut() {
                         // Edge-buffer wait since emission plus the
                         // link's propagation delay are both transit.
-                        let waited = (t0 - c.xray.attributed_until).max(0.0);
-                        c.xray.advance(Component::Transit, t0);
-                        c.xray.charge(Component::Transit, latency);
-                        c.xray.mark_pause = mig_cum;
-                        c.xray.mark_fail = fail_cum;
+                        let l = &mut ledgers[i];
+                        let waited = (t0 - l.attributed_until).max(0.0);
+                        l.advance(Component::Transit, t0);
+                        l.charge(Component::Transit, latency);
+                        l.mark_pause = mig_cum;
+                        l.mark_fail = fail_cum;
                         let secs = (waited + latency) * c.count;
                         **edge += secs;
                         if c.count > 0.0 {
@@ -3560,9 +3597,10 @@ impl Engine {
                             }
                         }
                     }
-                    c.net_latency += latency;
+                    let net_latency = c.net_latency + latency;
                     dest.arrived += c.count;
-                    dest.input.push(c);
+                    dest.input
+                        .push(Cohort { net_latency, ..*c }, ledgers.get(i));
                 }
             }
             sc.moved.clear();
@@ -3660,19 +3698,18 @@ impl Engine {
     ///
     /// 1. **Shard**: one task per deployed (op, site) group, in the
     ///    stable order — topological operator order, then the
-    ///    placement's site order. Each task takes its `Group` out of
-    ///    the map in place (`mem::take`, leaving an empty placeholder),
-    ///    a snapshot of the per-site inputs it needs (failure/suspension
-    ///    status, compute factor) and a set of empty output buffers
-    ///    from the engine's pool.
-    /// 2. **Compute**: [`run_proc_task`] is a pure function of the task
-    ///    plus the *pre-tick* immutable view (`plan`, `physical`,
-    ///    `cfg`, edge buffers). A group is private to its task, and an
-    ///    edge buffer keyed `(from_op, from_site, …)` is only ever read
-    ///    or written by the task that owns `(from_op, from_site)`.
-    /// 3. **Reduce** (in task order): groups are written back into
-    ///    their map slots, sink deliveries are folded into the run
-    ///    metrics and histograms, and each emission — the emitted
+    ///    placement's site order. Each task holds a snapshot of the
+    ///    per-site inputs it needs (failure/suspension status, compute
+    ///    factor) and a set of empty output buffers from the engine's
+    ///    pool.
+    /// 2. **Compute**: [`run_proc_task`] is a function of the task, its
+    ///    group (lent in place from the map, never moved) and the
+    ///    *pre-tick* immutable view (`plan`, `physical`, `cfg`, edge
+    ///    buffers). A group belongs to one task, and an edge buffer
+    ///    keyed `(from_op, from_site, …)` is only ever read or written
+    ///    by the task that owns `(from_op, from_site)`.
+    /// 3. **Reduce** (in task order): sink deliveries are folded into
+    ///    the run metrics and histograms, and each emission — the emitted
     ///    cohorts once plus `(edge, share)` pairs — is pushed into the
     ///    edge buffers scaled by its share.
     ///
@@ -3735,7 +3772,6 @@ impl Engine {
                     blocked_by_failure: failed || replaying,
                     paused_frac: paused,
                     compute_factor,
-                    group: self.groups.get_mut(&(op, site)).map(std::mem::take),
                     bufs: self.emit_pool.pop().unwrap_or_default(),
                 });
             }
@@ -3751,7 +3787,11 @@ impl Engine {
             xray: self.xray.is_some(),
         };
         let mut outcomes = std::mem::take(&mut self.proc_outcomes);
-        outcomes.extend(tasks.drain(..).map(|t| run_proc_task(&ctx, t)));
+        let groups = &mut self.groups;
+        outcomes.extend(tasks.drain(..).map(|t| {
+            let group = groups.get_mut(&(t.op, t.site));
+            run_proc_task(&ctx, t, group)
+        }));
         self.proc_tasks = tasks;
         // --- ordered reduce: apply outcomes in task order ---
         let mut delivered_total = 0.0;
@@ -3760,12 +3800,6 @@ impl Engine {
         per_op_processed.clear();
         per_op_processed.resize(self.plan.len(), 0.0);
         for mut o in outcomes.drain(..) {
-            if let Some(g) = o.group {
-                *self
-                    .groups
-                    .get_mut(&(o.op, o.site))
-                    .expect("the group was taken from this slot") = g;
-            }
             if let Some(p) = per_op_processed.get_mut(o.op.index()) {
                 *p += o.processed;
             }
@@ -3781,12 +3815,12 @@ impl Engine {
                 }
             }
             let mut node_comps = o.xray_nodes;
-            if o.sink && !o.bufs.cohorts.is_empty() {
+            if o.sink && !o.bufs.batch.is_empty() {
                 let sink_hist = self
                     .em
                     .as_ref()
                     .and_then(|em| em.delivery[o.op.index()].as_ref());
-                for c in &o.bufs.cohorts {
+                for (i, c) in o.bufs.batch.cohorts.iter().enumerate() {
                     let d = c.delay_at(SimTime(t1));
                     delivered_total += c.count;
                     delay_sum += d * c.count;
@@ -3798,8 +3832,9 @@ impl Engine {
                         // Close any still-unattributed residual (e.g.
                         // sink-side buffering) so components sum to the
                         // exact recorded delay.
-                        let residual = (t1 - c.xray.attributed_until).max(0.0);
-                        let mut comps = c.xray.components();
+                        let l = &o.bufs.batch.ledgers[i];
+                        let residual = (t1 - l.attributed_until).max(0.0);
+                        let mut comps = l.components();
                         comps[Component::Backpressure as usize] += residual;
                         node_comps[Component::Backpressure as usize] += residual * c.count;
                         if let Some(xs) = self.xray.as_mut() {
@@ -3822,9 +3857,9 @@ impl Engine {
                 self.edges
                     .entry(key)
                     .or_default()
-                    .push_scaled(&o.bufs.cohorts, share);
+                    .push_scaled(&o.bufs.batch, share);
             }
-            o.bufs.cohorts.clear();
+            o.bufs.batch.clear();
             o.bufs.edges.clear();
             self.emit_pool.push(o.bufs);
         }

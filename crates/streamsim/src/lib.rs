@@ -73,7 +73,7 @@ pub mod testkit;
 
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
-    pub use crate::cohort::{Cohort, CohortQueue};
+    pub use crate::cohort::{Cohort, CohortBatch, CohortQueue};
     pub use crate::dsl::parse_plan;
     pub use crate::engine::{
         CheckpointTarget, Command, Engine, EngineConfig, EngineError, PlanSwitch, Transfer,

@@ -13,7 +13,8 @@
 //!    JSON of the recording and the telemetry decision audit against
 //!    the default configuration — and every scenario spec with x-ray,
 //!    telemetry and metrics on, checking conservation and that
-//!    observing the run leaves its recording untouched;
+//!    observing the run leaves its recording untouched, plus a §8.6
+//!    run whose x-ray is switched on mid-run;
 //! 2. a seeded chaos campaign (crashes, flaps, blackouts, stragglers
 //!    via `ChaosInjector`) run twice, comparing recordings *and*
 //!    snapshot streams;
@@ -198,6 +199,55 @@ fn xray_attribution_is_conserved_on_every_scenario_spec() {
             panic!("{name}: observing the run perturbed its RunMetrics — {diff}");
         }
     }
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// `enable_xray` on an engine that has already stepped: seed-4 §8.6
+/// runs 100 ticks unobserved, then x-ray turns on and WASP runs on
+/// through the failure at t = 540 s and its redeploys. Cohorts queued
+/// before the switch start from birth-fresh ledgers, so the recorded
+/// attribution is pinned (the digest was recorded before the ledgers
+/// moved out of the cohorts into lanes) and stays conserved.
+#[test]
+fn late_enabled_xray_backfills_queued_ledgers() {
+    use wasp_core::prelude::{run_controlled, PolicyConfig, WaspController};
+    const XRAY_DIGEST: u64 = 0xdf67_f0ec_df68_f984;
+    let spec = ScenarioSpec::section_8_6(ControllerKind::Wasp);
+    let cfg = ScenarioConfig {
+        seed: 4,
+        dt: 0.25,
+        ..ScenarioConfig::default()
+    };
+    let (mut engine, _) = spec.deploy(&cfg);
+    let mut ctrl = WaspController::new(PolicyConfig {
+        state: spec.state,
+        ..spec.policy.clone()
+    });
+    for _ in 0..100 {
+        engine.step();
+    }
+    engine.enable_xray(XRAY_DEFAULT_WINDOW_S);
+    let rest = 700.0 - engine.now().secs();
+    run_controlled(&mut engine, &mut ctrl, rest, cfg.monitor_interval_s);
+    assert!(
+        !engine.metrics().actions().is_empty(),
+        "WASP must react to the failure"
+    );
+    let x = engine.take_xray().expect("x-ray was enabled");
+    let err = x.conservation_error();
+    assert!(err <= 1e-6, "conservation violated — off by {err:.3e}");
+    let json = serde_json::to_string(&x).expect("XrayRun serializes");
+    let got = fnv1a64(json.as_bytes());
+    assert_eq!(got, XRAY_DIGEST, "x-ray digest moved: {got:#018x}");
 }
 
 /// The mode switch's contract: `StateModel::Coarse` — the default —

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use wasp_netsim::site::SiteId;
 use wasp_netsim::units::SimTime;
-use wasp_streamsim::cohort::{Cohort, CohortQueue};
+use wasp_streamsim::cohort::{Cohort, CohortBatch, CohortQueue};
 use wasp_streamsim::exact::{hash_join, multi_hash_join, top_k, window_aggregate, Event};
 use wasp_streamsim::physical::Placement;
 
@@ -30,15 +30,17 @@ proptest! {
         // Births must be non-decreasing for queue pushes.
         let mut sorted = cohorts.clone();
         sorted.sort_by(|a, b| a.birth.partial_cmp(&b.birth).unwrap());
-        q.push_all(sorted);
+        for c in sorted {
+            q.push(c, None);
+        }
         prop_assert!((q.len_events() - total).abs() < 1e-6 * total.max(1.0));
         let mut taken = 0.0;
         for f in take_fracs {
             let n = f * total / 4.0;
             let out = q.take(n);
-            taken += out.iter().map(|c| c.count).sum::<f64>();
+            taken += out.cohorts().iter().map(|c| c.count).sum::<f64>();
             // FIFO: births inside one take are non-decreasing.
-            for w in out.windows(2) {
+            for w in out.cohorts().windows(2) {
                 prop_assert!(w[0].birth <= w[1].birth);
             }
         }
@@ -53,8 +55,11 @@ proptest! {
         factor in 0.0f64..3.0,
     ) {
         let total: f64 = cohorts.iter().map(|c| c.count).sum();
-        let scaled = CohortQueue::scaled(&cohorts, factor);
-        let scaled_total: f64 = scaled.iter().map(|c| c.count).sum();
+        let mut batch = CohortBatch::new();
+        for c in cohorts {
+            batch.push(c, None);
+        }
+        let scaled_total: f64 = batch.scaled(factor).map(|(c, _)| c.count).sum();
         prop_assert!((scaled_total - factor * total).abs() < 1e-6 * total.max(1.0));
     }
 
@@ -73,7 +78,9 @@ proptest! {
             .map(|c| c.count)
             .sum();
         let mut q = CohortQueue::new();
-        q.push_all(sorted);
+        for c in sorted {
+            q.push(c, None);
+        }
         let dropped = q.drop_late(SimTime(now), slo);
         prop_assert!((dropped - expected_drop).abs() < 1e-6 * expected_drop.max(1.0));
     }

@@ -90,3 +90,23 @@ fn wasp_report_run_reproduces_itself() {
     assert_same("chrome trace (re-run)", &first.trace, &second.trace);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A flag the chosen scenario would ignore is a usage error (exit 2)
+/// that names the flag and the scenario, not a run under a
+/// misleading title.
+#[test]
+fn wasp_report_rejects_flags_the_scenario_ignores() {
+    let out = Command::new(env!("CARGO_BIN_EXE_wasp-report"))
+        .args(["--scenario", "skewed_state", "--controller", "noadapt"])
+        .env_remove("WASP_SCENARIO_SEED")
+        .output()
+        .expect("spawn wasp-report");
+    assert!(!out.status.success(), "an ignored flag must fail the run");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit with 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--controller") && stderr.contains("skewed_state"),
+        "the error must name the flag and the scenario: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no report may be written");
+}
