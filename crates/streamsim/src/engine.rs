@@ -424,6 +424,113 @@ impl Group {
         self.window_buf.clear();
         out
     }
+
+    /// Works off up to `capacity` events of redo (post-failure
+    /// recovery consumes capacity but emits nothing), taken through the
+    /// empty `scratch` buffer so a recovery tick allocates nothing.
+    /// Returns the events worked off.
+    fn work_off_redo(&mut self, capacity: f64, scratch: &mut CohortBatch) -> f64 {
+        let n = self.redo.len_events().min(capacity);
+        if n <= 0.0 {
+            return 0.0;
+        }
+        self.redo.take_into(n, scratch);
+        scratch.clear();
+        n
+    }
+
+    /// The since-checkpoint work is lost (a failure, an aborted
+    /// migration) and becomes redo, scaled by the dirty key-weight
+    /// fraction when only the dirty partitions need replay.
+    fn redo_since_checkpoint(&mut self, dirty_frac: Option<f64>) {
+        let lost = self.since_ckpt.drain();
+        match dirty_frac {
+            Some(f) => self.redo.push_scaled(&lost, f),
+            None => self.redo.push_all(&lost),
+        }
+    }
+
+    /// A checkpoint made the since-checkpoint work durable.
+    fn checkpointed(&mut self) {
+        self.since_ckpt.clear();
+    }
+
+    /// The first step of a transition: drains the group's input and
+    /// redo, open windows and pending output. With xray on, every
+    /// ledger closes at `now` against this group's pause counters
+    /// (charged to `acc`) and its marks reset, as the groups that
+    /// receive the data restart their counters from zero.
+    fn evacuate(&mut self, xray: bool, now: f64, acc: &mut [f64; 6]) -> Carry {
+        // Redo joins the carried input, so the receiving groups
+        // process it as fresh input.
+        let mut input = self.input.drain();
+        input.append(&mut self.redo.drain());
+        let mut window = self.drain_windows(xray, now);
+        let mut pending = self.pending_out.drain();
+        if xray {
+            let (mc, fc) = (self.pause_mig_cum, self.pause_fail_cum);
+            for (c, l) in input.cohorts.iter().zip(input.ledgers.iter_mut()) {
+                let comps = close_queue_interval(l, mc, fc, now, 0.0);
+                for (a, v) in acc.iter_mut().zip(comps) {
+                    *a += v * c.count;
+                }
+                l.mark_pause = 0.0;
+                l.mark_fail = 0.0;
+            }
+            for l in window.ledgers.iter_mut() {
+                // `drain_windows` already closed these at `now`.
+                l.mark_pause = 0.0;
+                l.mark_fail = 0.0;
+            }
+            for (c, l) in pending.cohorts.iter().zip(pending.ledgers.iter_mut()) {
+                let comps = close_pending_interval(l, now, 0.0);
+                for (a, v) in acc.iter_mut().zip(comps) {
+                    *a += v * c.count;
+                }
+                l.mark_pause = 0.0;
+                l.mark_fail = 0.0;
+            }
+        }
+        Carry {
+            input,
+            window,
+            pending,
+        }
+    }
+
+    /// Receives `share` of a transition's carried data. `window` is
+    /// the operator's `(window_s, σ)` when it is windowed: window
+    /// contents are state and go back into the accumulator
+    /// (re-processing them as input would double-charge the CPU).
+    fn install(&mut self, carry: &Carry, share: f64, window: Option<(f64, f64)>, now: f64) {
+        self.input.push_scaled(&carry.input, share);
+        match window {
+            Some((w, sigma)) => self.absorb_batch(&carry.window, share, w, sigma, now),
+            None => self.input.push_scaled(&carry.window, share),
+        }
+        self.pending_out.push_scaled(&carry.pending, share);
+    }
+}
+
+/// The data a transition carries from old groups to new ones, every
+/// ledger closed at the transition time (see [`Group::evacuate`]).
+#[derive(Debug, Default)]
+struct Carry {
+    /// Queued input, redo appended.
+    input: CohortBatch,
+    /// Open windows' contents, one cohort per window.
+    window: CohortBatch,
+    /// Post-σ output not yet emitted.
+    pending: CohortBatch,
+}
+
+impl Carry {
+    /// Moves every batch of `other` to the end of this one's.
+    fn append(&mut self, other: &mut Carry) {
+        self.input.append(&mut other.input);
+        self.window.append(&mut other.window);
+        self.pending.append(&mut other.pending);
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -624,16 +731,7 @@ fn run_proc_task(ctx: &ProcCtx<'_>, task: ProcTask, group: Option<&mut Group>) -
         if !capacity.is_finite() {
             capacity = g.redo.len_events() + g.input.len_events();
         }
-        // Redo work (post-failure recovery) consumes capacity but
-        // emits nothing.
-        let redo_n = g.redo.len_events().min(capacity);
-        if redo_n > 0.0 {
-            // Taken through the (still empty) emission buffer so a
-            // recovery tick allocates nothing.
-            g.redo.take_into(redo_n, &mut out.bufs.batch);
-            out.bufs.batch.clear();
-            capacity -= redo_n;
-        }
+        capacity -= g.work_off_redo(capacity, &mut out.bufs.batch);
         // Output-buffer space limits processing (this is the
         // backpressure stall).
         let pending_room = (ctx.cfg.edge_buffer_events - g.pending_out.len_events()).max(0.0);
@@ -845,6 +943,22 @@ struct Migration {
     started_at: f64,
     /// Telemetry span covering the transition, when recording.
     span: Option<SpanId>,
+}
+
+impl TransferProgress {
+    /// The transfers that move anything: a same-site or empty transfer
+    /// costs nothing and is dropped.
+    fn of(transfers: Vec<Transfer>) -> Vec<TransferProgress> {
+        transfers
+            .into_iter()
+            .filter(|t| t.from != t.to && t.mb.0 > 0.0)
+            .map(|t| TransferProgress {
+                from: t.from,
+                to: t.to,
+                remaining_mb: t.mb.0,
+            })
+            .collect()
+    }
 }
 
 impl Migration {
@@ -2144,7 +2258,7 @@ impl Engine {
         for op in self.plan.op_ids() {
             for (site, tasks) in self.physical.placement(op).iter() {
                 let mut g = Group::fresh(tasks);
-                self.init_state(op, &mut g);
+                Self::init_state(&self.plan, &self.physical, op, &mut g);
                 self.groups.insert((op, site), g);
             }
         }
@@ -2176,9 +2290,9 @@ impl Engine {
         }
     }
 
-    fn init_state(&self, op: OpId, g: &mut Group) {
-        let p = self.physical.parallelism(op).max(1);
-        g.state_mb = match self.plan.op(op).state() {
+    fn init_state(plan: &LogicalPlan, physical: &PhysicalPlan, op: OpId, g: &mut Group) {
+        let p = physical.parallelism(op).max(1);
+        g.state_mb = match plan.op(op).state() {
             StateModel::Stateless => 0.0,
             StateModel::Fixed(total) => total.0 * g.tasks as f64 / p as f64,
             StateModel::Window { bytes_per_event } => g.window_events() * bytes_per_event / 1e6,
@@ -2212,53 +2326,23 @@ impl Engine {
         candidate.set_placement(op, placement.clone());
         candidate.validate(&self.plan, self.net.topology())?;
 
-        // Capture old groups' data.
+        // Evacuate the old groups. Their input and window contents
+        // gather in queues (merging as queues do) before the share-out;
+        // pending output stays at its site as an orphan edge buffer
+        // source, moved into the outgoing edges now.
         let xray_on = self.xray.is_some();
         let now = self.now;
         let mut xray_acc = [0.0; 6];
-        let old_sites: Vec<SiteId> = self.physical.placement(op).sites();
         let mut carried_input = CohortQueue::new();
         let mut carried_window = CohortQueue::new();
         let mut old_state_total = 0.0;
-        for site in old_sites {
+        for site in self.physical.placement(op).sites() {
             if let Some(mut g) = self.groups.remove(&(op, site)) {
-                let (mc, fc) = (g.pause_mig_cum, g.pause_fail_cum);
-                let mut inputs = g.input.drain();
-                inputs.append(&mut g.redo.drain());
-                let mut windows = g.drain_windows(xray_on, now);
-                let mut pend = g.pending_out.drain();
-                if xray_on {
-                    // Close every carried ledger out at `now` against
-                    // the *old* group's pause counters, then zero the
-                    // marks: the fresh groups restart their counters.
-                    for (c, l) in inputs.cohorts.iter().zip(inputs.ledgers.iter_mut()) {
-                        let comps = close_queue_interval(l, mc, fc, now, 0.0);
-                        for (a, v) in xray_acc.iter_mut().zip(comps) {
-                            *a += v * c.count;
-                        }
-                        l.mark_pause = 0.0;
-                        l.mark_fail = 0.0;
-                    }
-                    for l in windows.ledgers.iter_mut() {
-                        // `drain_windows` already closed these at `now`.
-                        l.mark_pause = 0.0;
-                        l.mark_fail = 0.0;
-                    }
-                    for (c, l) in pend.cohorts.iter().zip(pend.ledgers.iter_mut()) {
-                        let comps = close_pending_interval(l, now, 0.0);
-                        for (a, v) in xray_acc.iter_mut().zip(comps) {
-                            *a += v * c.count;
-                        }
-                        l.mark_pause = 0.0;
-                        l.mark_fail = 0.0;
-                    }
-                }
-                carried_input.push_all(&inputs);
-                carried_window.push_all(&windows);
+                let carry = g.evacuate(xray_on, now, &mut xray_acc);
+                carried_input.push_all(&carry.input);
+                carried_window.push_all(&carry.window);
                 old_state_total += g.state_mb;
-                // Pending output stays at the site as an orphan edge
-                // buffer source; move it into the outgoing edges now.
-                self.spill_pending(op, site, pend);
+                self.spill_pending(op, site, carry.pending);
             }
         }
         if let Some(xs) = self.xray.as_mut() {
@@ -2267,30 +2351,27 @@ impl Engine {
         if skip_state {
             self.lost_state_mb += old_state_total;
             // Abandoning state also abandons buffered window contents.
-            carried_window = CohortQueue::new();
+            carried_window.clear();
         }
 
         self.physical = candidate;
-
-        // Create the new groups and share out carried data.
-        let p = placement.parallelism().max(1);
-        let input_cohorts = carried_input.drain();
-        let window_cohorts = carried_window.drain();
         for (site, tasks) in placement.iter() {
-            let share = tasks as f64 / p as f64;
-            let mut g = Group::fresh(tasks);
-            g.input.push_scaled(&input_cohorts, share);
-            // Buffered open-window contents are *state*: restore them
-            // directly into the window accumulator (re-processing them
-            // as input would double-charge the CPU).
-            if let Some(w) = self.plan.op(op).kind().window_s() {
-                let sigma = self.plan.op(op).selectivity();
-                g.absorb_batch(&window_cohorts, share, w, sigma, now);
-            } else {
-                g.input.push_scaled(&window_cohorts, share);
-            }
-            self.init_state(op, &mut g);
-            self.groups.insert((op, site), g);
+            self.groups.insert((op, site), Group::fresh(tasks));
+        }
+        self.install(
+            op,
+            &Carry {
+                input: carried_input.drain(),
+                window: carried_window.drain(),
+                pending: CohortBatch::new(),
+            },
+        );
+        for (site, _) in placement.iter() {
+            let g = self
+                .groups
+                .get_mut(&(op, site))
+                .expect("group just created");
+            Self::init_state(&self.plan, &self.physical, op, g);
         }
 
         // Re-key inbound edge buffers to the new destination sites,
@@ -2299,17 +2380,11 @@ impl Engine {
         self.rekey_in_edges(op);
         self.edges.retain(|_, q| q.len_cohorts() > 0);
 
-        let effective_transfers = if skip_state { Vec::new() } else { transfers };
-        self.metrics.annotate(SimTime(self.now), "transition-start");
-        let mut progress: Vec<TransferProgress> = effective_transfers
-            .into_iter()
-            .filter(|t| t.from != t.to && t.mb.0 > 0.0)
-            .map(|t| TransferProgress {
-                from: t.from,
-                to: t.to,
-                remaining_mb: t.mb.0,
-            })
-            .collect();
+        let mut progress = if skip_state {
+            Vec::new()
+        } else {
+            TransferProgress::of(transfers)
+        };
         // Partitioned state: expand each site-level blob into
         // per-partition slices, pipelined per link. The coarse path
         // (no store for this op) keeps `progress` untouched.
@@ -2319,7 +2394,6 @@ impl Engine {
             .partition_config()
             .and_then(|pc| pc.split_threshold);
         let mut slices: Vec<SliceFlight> = Vec::new();
-        let mut split_events: Vec<(wasp_state::SplitEvent, f64)> = Vec::new();
         let partitioned = match self.stores.get_mut(&op) {
             Some(store) => {
                 // Hot-partition detector: bisect any partition whose
@@ -2330,7 +2404,35 @@ impl Engine {
                 if let Some(th) = split_threshold {
                     let total = store.total_mb();
                     for ev in store.split_hot(th) {
-                        split_events.push((ev, total));
+                        let (parent_mb, left_mb, right_mb) = (
+                            ev.parent_weight * total,
+                            ev.left_weight * total,
+                            ev.right_weight * total,
+                        );
+                        self.state_timeline.splits.push(
+                            wasp_state::timeline::PartitionSplitRecord {
+                                t_s: now,
+                                op: Some(op.0),
+                                parent: ev.parent,
+                                child: ev.child,
+                                parent_mb,
+                                left_mb,
+                                right_mb,
+                            },
+                        );
+                        self.tel.emit(now, || TelEvent::PartitionSplit {
+                            op: Some(op.0),
+                            parent: ev.parent,
+                            child: ev.child,
+                            parent_mb,
+                            left_mb,
+                            right_mb,
+                        });
+                        if let Some(c) =
+                            self.em.as_ref().and_then(|em| em.partition_splits.as_ref())
+                        {
+                            c.inc();
+                        }
                     }
                 }
                 let origins: Vec<u32> = (0..store.partitions() as u32)
@@ -2359,72 +2461,7 @@ impl Engine {
             }
             None => false,
         };
-        for &(ev, total) in &split_events {
-            let (parent_mb, left_mb, right_mb) = (
-                ev.parent_weight * total,
-                ev.left_weight * total,
-                ev.right_weight * total,
-            );
-            self.state_timeline
-                .splits
-                .push(wasp_state::timeline::PartitionSplitRecord {
-                    t_s: self.now,
-                    op: Some(op.0),
-                    parent: ev.parent,
-                    child: ev.child,
-                    parent_mb,
-                    left_mb,
-                    right_mb,
-                });
-            self.tel.emit(self.now, || TelEvent::PartitionSplit {
-                op: Some(op.0),
-                parent: ev.parent,
-                child: ev.child,
-                parent_mb,
-                left_mb,
-                right_mb,
-            });
-            if let Some(em) = &self.em {
-                if let Some(c) = &em.partition_splits {
-                    c.inc();
-                }
-            }
-        }
-        let (n_transfers, total_mb) = if partitioned {
-            (
-                slices.len() as u32,
-                slices.iter().map(|s| s.remaining_mb).sum::<f64>() + 0.0,
-            )
-        } else {
-            (
-                progress.len() as u32,
-                progress.iter().map(|t| t.remaining_mb).sum::<f64>() + 0.0, // + 0.0: an empty sum is -0.0
-            )
-        };
-        self.tel.emit(self.now, || TelEvent::MigrationStarted {
-            op: Some(op.0),
-            transfers: n_transfers,
-            total_mb,
-        });
-        let span = if self.tel.is_enabled() {
-            let name = format!("transition:{}", self.plan.op(op).name());
-            self.tel.span_begin(self.now, &name)
-        } else {
-            None
-        };
-        self.migrations.push(Migration {
-            op: Some(op),
-            transfers: progress,
-            slices,
-            partitioned,
-            resume_no_earlier: self.now + self.cfg.restart_penalty_s,
-            started_at: self.now,
-            span,
-        });
-        if let Some(em) = &self.em {
-            em.migrations_started.inc();
-        }
-        self.plan_version += 1;
+        self.start(Some(op), progress, slices, partitioned);
         Ok(())
     }
 
@@ -2520,12 +2557,18 @@ impl Engine {
             .iter()
             .map(|s| old_rates[s.index()].1)
             .sum();
+        // An op's rate as a fraction of the source rate.
+        let src_share = |rate: f64| {
+            if total_src > 0.0 {
+                rate / total_src
+            } else {
+                0.0
+            }
+        };
         let carry_map: BTreeMap<OpId, OpId> = sw.carry.iter().copied().collect();
 
-        // (new op, cohorts) input/window/pending data to install.
-        let mut carried_inputs: BTreeMap<OpId, CohortBatch> = BTreeMap::new();
-        let mut carried_windows: BTreeMap<OpId, CohortBatch> = BTreeMap::new();
-        let mut carried_pendings: BTreeMap<OpId, CohortBatch> = BTreeMap::new();
+        // Data to install, by new op.
+        let mut carried: BTreeMap<OpId, Carry> = BTreeMap::new();
         let mut replay = CohortBatch::new();
         let xray_on = self.xray.is_some();
         let now = self.now;
@@ -2552,66 +2595,21 @@ impl Engine {
         let group_keys: Vec<(OpId, SiteId)> = self.groups.keys().copied().collect();
         for (op, site) in group_keys {
             let mut g = self.groups.remove(&(op, site)).expect("key just listed");
-            let in_factor = if total_src > 0.0 {
-                old_rates[op.index()].0 / total_src
-            } else {
-                0.0
-            };
-            let out_factor = if total_src > 0.0 {
-                old_rates[op.index()].1 / total_src
-            } else {
-                0.0
-            };
-            let mut input = g.input.drain();
-            input.append(&mut g.redo.drain());
-            let mut window = g.drain_windows(xray_on, now);
-            let mut pending = g.pending_out.drain();
-            if xray_on {
-                // Close every ledger out at `now` against the old
-                // group's pause counters; the rebuilt groups restart
-                // their counters from zero.
-                let (mc, fc) = (g.pause_mig_cum, g.pause_fail_cum);
-                let acc = xray_node_acc.entry(op.0).or_insert([0.0; 6]);
-                for (c, l) in input.cohorts.iter().zip(input.ledgers.iter_mut()) {
-                    let comps = close_queue_interval(l, mc, fc, now, 0.0);
-                    for (a, v) in acc.iter_mut().zip(comps) {
-                        *a += v * c.count;
-                    }
-                    l.mark_pause = 0.0;
-                    l.mark_fail = 0.0;
-                }
-                for l in window.ledgers.iter_mut() {
-                    l.mark_pause = 0.0;
-                    l.mark_fail = 0.0;
-                }
-                for (c, l) in pending.cohorts.iter().zip(pending.ledgers.iter_mut()) {
-                    let comps = close_pending_interval(l, now, 0.0);
-                    for (a, v) in acc.iter_mut().zip(comps) {
-                        *a += v * c.count;
-                    }
-                    l.mark_pause = 0.0;
-                    l.mark_fail = 0.0;
-                }
-            }
+            let acc = xray_node_acc.entry(op.0).or_insert([0.0; 6]);
+            let mut carry = g.evacuate(xray_on, now, acc);
             if let Some(&new_op) = carry_map.get(&op) {
-                carried_inputs.entry(new_op).or_default().append(&mut input);
-                carried_windows
-                    .entry(new_op)
-                    .or_default()
-                    .append(&mut window);
                 // Pending output is post-σ and semantically identical
                 // under the carried operator: keep it as its output.
-                carried_pendings
-                    .entry(new_op)
-                    .or_default()
-                    .append(&mut pending);
+                carried.entry(new_op).or_default().append(&mut carry);
             } else {
                 if self.plan.op(op).is_stateful() {
                     self.lost_state_mb += g.state_mb;
                 }
-                add_replay(input, in_factor);
-                add_replay(window, out_factor.max(in_factor));
-                add_replay(pending, out_factor);
+                let in_factor = src_share(old_rates[op.index()].0);
+                let out_factor = src_share(old_rates[op.index()].1);
+                add_replay(carry.input, in_factor);
+                add_replay(carry.window, out_factor.max(in_factor));
+                add_replay(carry.pending, out_factor);
             }
         }
         // Edge buffers hold post-σ output of from_op: carried
@@ -2633,18 +2631,14 @@ impl Engine {
                         l.mark_fail = 0.0;
                     }
                 }
-                carried_pendings
+                carried
                     .entry(new_op)
                     .or_default()
+                    .pending
                     .append(&mut batch);
                 continue;
             }
-            let out_factor = if total_src > 0.0 {
-                old_rates[key.from_op.index()].1 / total_src
-            } else {
-                0.0
-            };
-            add_replay(q.drain(), out_factor);
+            add_replay(q.drain(), src_share(old_rates[key.from_op.index()].1));
         }
         if let Some(xs) = self.xray.as_mut() {
             for (op, acc) in xray_node_acc {
@@ -2666,43 +2660,8 @@ impl Engine {
                     .map(|op| (op.0, self.plan.op(op).name().to_string())),
             );
         }
-
-        // Install carried data into the new groups, split by share.
-        for (new_op, cohorts) in carried_inputs {
-            let placement = self.physical.placement(new_op).clone();
-            for (site, _) in placement.iter() {
-                let share = placement.share(site);
-                if let Some(g) = self.groups.get_mut(&(new_op, site)) {
-                    g.input.push_scaled(&cohorts, share);
-                }
-            }
-        }
-        for (new_op, cohorts) in carried_windows {
-            let placement = self.physical.placement(new_op).clone();
-            let (window_s, sigma) = match self.plan.op(new_op).kind().window_s() {
-                Some(w) => (Some(w), self.plan.op(new_op).selectivity()),
-                None => (None, 1.0),
-            };
-            for (site, _) in placement.iter() {
-                let share = placement.share(site);
-                if let Some(g) = self.groups.get_mut(&(new_op, site)) {
-                    match window_s {
-                        // Window contents are state: restore them into
-                        // the accumulator without re-processing.
-                        Some(w) => g.absorb_batch(&cohorts, share, w, sigma, now),
-                        None => g.input.push_scaled(&cohorts, share),
-                    }
-                }
-            }
-        }
-        for (new_op, cohorts) in carried_pendings {
-            let placement = self.physical.placement(new_op).clone();
-            for (site, _) in placement.iter() {
-                let share = placement.share(site);
-                if let Some(g) = self.groups.get_mut(&(new_op, site)) {
-                    g.pending_out.push_scaled(&cohorts, share);
-                }
-            }
+        for (new_op, carry) in &carried {
+            self.install(*new_op, carry);
         }
         // Replayed events re-enter at the sources, proportionally to
         // their base rates.
@@ -2721,38 +2680,10 @@ impl Engine {
             }
         }
 
-        self.metrics.annotate(SimTime(self.now), "transition-start");
-        let progress: Vec<TransferProgress> = sw
-            .transfers
-            .into_iter()
-            .filter(|t| t.from != t.to && t.mb.0 > 0.0)
-            .map(|t| TransferProgress {
-                from: t.from,
-                to: t.to,
-                remaining_mb: t.mb.0,
-            })
-            .collect();
-        self.tel.emit(self.now, || TelEvent::MigrationStarted {
-            op: None,
-            transfers: progress.len() as u32,
-            total_mb: progress.iter().map(|t| t.remaining_mb).sum::<f64>() + 0.0, // + 0.0: an empty sum is -0.0
-        });
-        let span = self.tel.span_begin(self.now, "transition:plan-switch");
         // Plan switches rebuild the whole query; they stay coarse even
         // under `StateModel::Partitioned` (the partitioned machinery
         // covers per-op re-deployments, the common adaptation).
-        self.migrations.push(Migration {
-            op: None,
-            transfers: progress,
-            slices: Vec::new(),
-            partitioned: false,
-            resume_no_earlier: self.now + self.cfg.restart_penalty_s,
-            started_at: self.now,
-            span,
-        });
-        if let Some(em) = &self.em {
-            em.migrations_started.inc();
-        }
+        self.start(None, TransferProgress::of(sw.transfers), Vec::new(), false);
         // The plan changed shape: re-resolve the per-op handles (new
         // operators get fresh series; unchanged names re-attach).
         if self.hub.is_enabled() {
@@ -2763,8 +2694,74 @@ impl Engine {
                 self.xray.is_some(),
             ));
         }
-        self.plan_version += 1;
         Ok(())
+    }
+
+    /// Shares a transition's carried data over `op`'s current
+    /// placement, each group by its task share.
+    fn install(&mut self, op: OpId, carry: &Carry) {
+        let spec = self.plan.op(op);
+        let window = spec.kind().window_s().map(|w| (w, spec.selectivity()));
+        let placement = self.physical.placement(op);
+        for (site, _) in placement.iter() {
+            if let Some(g) = self.groups.get_mut(&(op, site)) {
+                g.install(carry, placement.share(site), window, self.now);
+            }
+        }
+    }
+
+    /// The last step of a transition: records its start (annotation,
+    /// telemetry event and span, metrics) and tracks it as a
+    /// [`Migration`] until its transfers land. `op` is `None` for a
+    /// plan switch. A partitioned migration moves `slices`; any other
+    /// moves `transfers`.
+    fn start(
+        &mut self,
+        op: Option<OpId>,
+        transfers: Vec<TransferProgress>,
+        slices: Vec<SliceFlight>,
+        partitioned: bool,
+    ) {
+        self.metrics.annotate(SimTime(self.now), "transition-start");
+        // + 0.0: an empty sum is -0.0
+        let (n_transfers, total_mb) = if partitioned {
+            (
+                slices.len() as u32,
+                slices.iter().map(|s| s.remaining_mb).sum::<f64>() + 0.0,
+            )
+        } else {
+            (
+                transfers.len() as u32,
+                transfers.iter().map(|t| t.remaining_mb).sum::<f64>() + 0.0,
+            )
+        };
+        self.tel.emit(self.now, || TelEvent::MigrationStarted {
+            op: op.map(|o| o.0),
+            transfers: n_transfers,
+            total_mb,
+        });
+        let span = if self.tel.is_enabled() {
+            let name = match op {
+                Some(op) => format!("transition:{}", self.plan.op(op).name()),
+                None => "transition:plan-switch".to_string(),
+            };
+            self.tel.span_begin(self.now, &name)
+        } else {
+            None
+        };
+        self.migrations.push(Migration {
+            op,
+            transfers,
+            slices,
+            partitioned,
+            resume_no_earlier: self.now + self.cfg.restart_penalty_s,
+            started_at: self.now,
+            span,
+        });
+        if let Some(em) = &self.em {
+            em.migrations_started.inc();
+        }
+        self.plan_version += 1;
     }
 
     // ----- per-tick phases -------------------------------------------
@@ -2865,18 +2862,12 @@ impl Engine {
                 let mut hit: Vec<(OpId, SiteId)> = Vec::new();
                 for (&(op, site), g) in self.groups.iter_mut() {
                     if f.affects(site, SimTime(t0)) {
-                        let lost = g.since_ckpt.drain();
-                        match self.stores.get(&op) {
-                            Some(store) => {
-                                let frac = store.dirty_weight_fraction();
-                                g.redo.push_scaled(&lost, frac);
-                                if store.compaction().is_enabled()
-                                    && !hit.iter().any(|&(o, _)| o == op)
-                                {
-                                    hit.push((op, site));
-                                }
-                            }
-                            None => g.redo.push_all(&lost),
+                        let store = self.stores.get(&op);
+                        g.redo_since_checkpoint(store.map(|s| s.dirty_weight_fraction()));
+                        if store.is_some_and(|s| s.compaction().is_enabled())
+                            && !hit.iter().any(|&(o, _)| o == op)
+                        {
+                            hit.push((op, site));
                         }
                     }
                 }
@@ -2967,66 +2958,48 @@ impl Engine {
             // A new round supersedes any unfinished uploads (the stale
             // snapshot is abandoned).
             self.checkpoint_uploads.clear();
-            let deltas = self.take_checkpoint_deltas(t0);
-            for (&(op, site), g) in self.groups.iter_mut() {
-                // A failed site can neither snapshot its state nor
-                // upload it — its since-checkpoint window stays open.
-                if self.script.site_failed(site, SimTime(t0)) {
-                    continue;
-                }
-                let upload_mb = if self.stores.contains_key(&op) {
-                    match deltas.get(&op) {
-                        // Incremental checkpoint: the round uploads
-                        // this site's share of the delta, not the full
-                        // blob.
-                        Some(d) => {
-                            g.since_ckpt.clear();
-                            if d.full_mb > 1e-12 {
-                                d.delta_mb * g.state_mb / d.full_mb
-                            } else {
-                                0.0
-                            }
-                        }
-                        // The op skipped this round (a placement site
-                        // is down); keep its redo window open.
-                        None => continue,
-                    }
-                } else {
-                    g.since_ckpt.clear();
-                    g.state_mb
-                };
-                if site != target && upload_mb > 0.0 {
-                    self.checkpoint_uploads.push(TransferProgress {
-                        from: site,
-                        to: target,
-                        remaining_mb: upload_mb,
-                    });
-                }
+        }
+        // Every healthy site snapshots: under remote checkpointing it
+        // uploads its share (of the delta, for partitioned state) to
+        // the target, under localized checkpointing it writes in place.
+        let deltas = self.take_checkpoint_deltas(t0);
+        for (&(op, site), g) in self.groups.iter_mut() {
+            // A failed site can neither snapshot its state nor upload
+            // it, and a partitioned op that skipped the round (a
+            // placement site is down) cannot complete it: either way
+            // the since-checkpoint window stays open.
+            if self.script.site_failed(site, SimTime(t0))
+                || (self.stores.contains_key(&op) && !deltas.contains_key(&op))
+            {
+                continue;
             }
-            self.tel.emit(t0, || TelEvent::CheckpointRound {
+            g.checkpointed();
+            let CheckpointTarget::Remote(target) = self.cfg.checkpoint_target else {
+                continue;
+            };
+            let upload_mb = match deltas.get(&op) {
+                Some(d) if d.full_mb > 1e-12 => d.delta_mb * g.state_mb / d.full_mb,
+                Some(_) => 0.0,
+                None => g.state_mb,
+            };
+            if site != target && upload_mb > 0.0 {
+                self.checkpoint_uploads.push(TransferProgress {
+                    from: site,
+                    to: target,
+                    remaining_mb: upload_mb,
+                });
+            }
+        }
+        self.tel.emit(t0, || match self.cfg.checkpoint_target {
+            CheckpointTarget::Remote(_) => TelEvent::CheckpointRound {
                 kind: "remote".to_string(),
                 uploaded_mb: self.checkpoint_uploads.iter().map(|t| t.remaining_mb).sum(),
-            });
-        } else {
-            // Localized checkpointing: every healthy site snapshots in
-            // place; failed sites keep their redo window open.
-            let deltas = self.take_checkpoint_deltas(t0);
-            for (&(op, site), g) in self.groups.iter_mut() {
-                if self.script.site_failed(site, SimTime(t0)) {
-                    continue;
-                }
-                // Partitioned ops that skipped the round (a placement
-                // site is down) keep their redo window open too.
-                if self.stores.contains_key(&op) && !deltas.contains_key(&op) {
-                    continue;
-                }
-                g.since_ckpt.clear();
-            }
-            self.tel.emit(t0, || TelEvent::CheckpointRound {
+            },
+            CheckpointTarget::Local => TelEvent::CheckpointRound {
                 kind: "local".to_string(),
                 uploaded_mb: 0.0,
-            });
-        }
+            },
+        });
     }
 
     /// Takes the per-op incremental checkpoints (partitioned state
@@ -3262,11 +3235,7 @@ impl Engine {
                 let frac = self.stores.get(&op).map(|s| s.dirty_weight_fraction());
                 for (&(gop, _), g) in self.groups.iter_mut() {
                     if gop == op {
-                        let lost = g.since_ckpt.drain();
-                        match frac {
-                            Some(f) => g.redo.push_scaled(&lost, f),
-                            None => g.redo.push_all(&lost),
-                        }
+                        g.redo_since_checkpoint(frac);
                     }
                 }
                 self.pending_events.push(FailureEvent::MigrationAborted {
@@ -3278,8 +3247,7 @@ impl Engine {
                 // Whole-query transition: every stage redoes its
                 // since-checkpoint window.
                 for g in self.groups.values_mut() {
-                    let lost = g.since_ckpt.drain();
-                    g.redo.push_all(&lost);
+                    g.redo_since_checkpoint(None);
                 }
                 self.pending_events.push(FailureEvent::MigrationAborted {
                     op: None,
@@ -3656,23 +3624,16 @@ impl Engine {
                 let up = &mut self.compaction_uploads[ci];
                 up.remaining_mb = (up.remaining_mb - moved_mb).max(0.0);
             }
-            let finished: std::collections::BTreeSet<usize> = self
-                .compaction_uploads
-                .iter()
-                .filter(|f| f.remaining_mb <= 1e-9)
-                .map(|f| f.record)
-                .collect();
-            let still: std::collections::BTreeSet<usize> = self
-                .compaction_uploads
-                .iter()
-                .filter(|f| f.remaining_mb > 1e-9)
-                .map(|f| f.record)
-                .collect();
-            for ri in finished.difference(&still) {
-                if let Some(r) = self.state_timeline.compactions.get_mut(*ri) {
-                    if r.end_s.is_none() {
-                        r.end_s = Some(t0 + dt);
-                    }
+            let ups = &self.compaction_uploads;
+            for f in ups.iter().filter(|f| f.remaining_mb <= 1e-9) {
+                let burst_in_flight = ups
+                    .iter()
+                    .any(|o| o.record == f.record && o.remaining_mb > 1e-9);
+                if burst_in_flight {
+                    continue;
+                }
+                if let Some(r) = self.state_timeline.compactions.get_mut(f.record) {
+                    r.end_s.get_or_insert(t0 + dt);
                 }
             }
             self.compaction_uploads.retain(|f| f.remaining_mb > 1e-9);
